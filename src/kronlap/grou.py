@@ -3,7 +3,9 @@
 Each outer iteration fits one Kronecker rank-one correction to the current
 residual and subtracts it; the accumulated corrections approximate the
 solution of A x = b. Operators are applied matrix-free, so the structured
-(Laplacian-like) path never materializes an N x N matrix.
+(Laplacian-like) path never materializes an N x N matrix; its ALS step builds
+each mode's least-squares problem from the factor vectors and applies the
+operator only once per term, to the accepted correction.
 """
 
 import warnings
@@ -12,6 +14,7 @@ from functools import reduce
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg.lapack import dpocon, dpotrf, dpotrs
 
 from .config import get_config
 from .errors import SingularMatrixError, SizeLimitError
@@ -31,6 +34,11 @@ RANK_MAX_REACHED = "rank_max_reached"
 
 KIND_DENSE = "dense"
 KIND_LAPLACIAN = "laplacian"
+
+# Reciprocal condition (1-norm estimate) below which a structured mode step
+# leaves the Cholesky solve of its normal equations for least squares. The
+# Gram matrix squares the mode matrix's condition, so this means about 1e4 there.
+_GRAM_RCOND_MIN = 1e-8
 
 
 @dataclass(eq=False)
@@ -131,12 +139,17 @@ class LinearOperator:
 
 @dataclass(eq=False)
 class GrouReport:
-    """Solve outcome: estimate, per-iteration residual norms, and stop reason."""
+    """Solve outcome: estimate, per-iteration residual norms, and stop reason.
+
+    ``rank_deficient_terms`` counts the accepted terms whose ALS fit met a
+    rank-deficient mode matrix (see :func:`als_rank_one`).
+    """
 
     x: np.ndarray
     residual_history: list[float]
     terms_used: int
     stop_reason: str
+    rank_deficient_terms: int = 0
 
 
 def _random_unit_factors(dims: DimSplit, rng) -> list[np.ndarray]:
@@ -151,30 +164,79 @@ def _random_unit_factors(dims: DimSplit, rng) -> list[np.ndarray]:
     return out
 
 
-def _mode_matrix(op: LinearOperator, factors, k: int) -> np.ndarray:
-    """N x n_k matrix whose column j is op applied to y1 (x) .. e_j .. (x) yd."""
-    dims = op.dims
-    left = reduce(np.kron, factors[:k], np.ones(1))
-    right = reduce(np.kron, factors[k + 1:], np.ones(1))
-    base = np.outer(left, right)
+def _mode_weights(factors, images, k: int):
+    """The vectors w0 and s of the structured mode-k matrix, over the other modes.
+
+    For A = alpha*I + sum_i embed(A_i) the mode-k matrix is
+    M_k = w0 (x)_k C_k + s (x)_k I with C_k = alpha*I + A_k, where w0 is the
+    outer product of the factors other than k and s is the sum over i != k of
+    w0 with factor i replaced by ``images[i]`` = A_i y_i. Both come back
+    flattened in mode order, length N / n_k.
+    """
+    w = np.ones(())
+    s = np.zeros(())
+    for j, (y, z) in enumerate(zip(factors, images)):
+        if j != k:
+            s = np.multiply.outer(s, y) + np.multiply.outer(w, z)
+            w = np.multiply.outer(w, y)
+    return w.reshape(-1), s.reshape(-1)
+
+
+def _structured_step(c, w, s, r_k):
+    """Minimize ||r_k - (C y) w^T - y s^T||_F over y, the structured mode step.
+
+    ``r_k`` is the residual with mode k moved first, shape (n_k, N / n_k).
+    Solves the n_k x n_k normal equations by Cholesky, or falls back to
+    least squares on the explicit two-term mode matrix when the Gram matrix
+    is not safely positive definite. Returns (y, objective, rank_deficient).
+    """
+    n_k = c.shape[0]
+    ws = np.stack([w, s])
+    inner = ws @ ws.T
+    proj = r_k @ ws.T
+    gram = inner[0, 0] * (c.T @ c) + inner[0, 1] * (c + c.T) + inner[1, 1] * np.eye(n_k)
+    chol, info = dpotrf(gram)
+    anorm = np.abs(gram).sum(axis=0).max()
+    if info == 0 and dpocon(chol, anorm)[0] > _GRAM_RCOND_MIN:
+        sol = dpotrs(chol, c.T @ proj[:, 0] + proj[:, 1])[0]
+        deficient = False
+    else:
+        eye = np.eye(n_k)
+        m = (c[:, None, :] * w[None, :, None] + eye[:, None, :] * s[None, :, None]).reshape(-1, n_k)
+        sol, _, rank, _ = np.linalg.lstsq(m, r_k.reshape(-1), rcond=None)
+        deficient = bool(rank < n_k)
+    objective = float(np.linalg.norm(r_k - np.column_stack([c @ sol, sol]) @ ws))
+    return sol, objective, deficient
+
+
+def _dense_step(a, w, r, dims: DimSplit, k: int):
+    """Least-squares mode step for a dense operator: M_k = A (w0 (x)_k I)."""
     n_k = dims.modes[k]
-    cols = np.empty((dims.n, n_k))
-    buf = np.zeros((left.size, n_k, right.size))
-    for j in range(n_k):
-        buf[:, j, :] = base
-        cols[:, j] = op.apply(buf.reshape(-1))
-        buf[:, j, :] = 0.0
-    return cols
+    w = w.reshape(dims.left_size(k), 1, dims.right_size(k), 1)
+    m = a @ (w * np.eye(n_k)[None, :, None, :]).reshape(dims.n, n_k)
+    sol, _, rank, _ = np.linalg.lstsq(m, r, rcond=None)
+    return sol, float(np.linalg.norm(r - m @ sol)), bool(rank < n_k)
 
 
 def als_rank_one(op: LinearOperator, r, iter_max: int = 15, seed: int = 0) -> RankOneVector:
     """Fit a rank-one Kronecker vector y minimizing ||r - A y||_2.
 
     Cycles through the modes; each step solves that mode's exact linear
-    least-squares problem with the other factors fixed (minimum-norm solution
-    when the mode matrix is rank-deficient, flagged on the result). Stops
-    after ``iter_max`` full passes or when a pass improves the objective by
-    less than 1e-14 * ||r||.
+    least-squares problem with the other factors fixed. Stops after
+    ``iter_max`` full passes or when a pass improves the objective by less
+    than 1e-14 * ||r||.
+
+    A structured operator never applies A inside the fit: its mode matrix has
+    the two-term form w0 (x)_k C_k + s (x)_k I (see :func:`_mode_weights`), so
+    a mode step costs O(d*N + n_k^3). The n_k x n_k normal equations are
+    solved by Cholesky; when the factorization fails or the Gram matrix's
+    estimated reciprocal condition number is at most 1e-8, the step falls
+    back to ``lstsq`` on the explicit N x n_k two-term matrix. A dense
+    operator builds its mode matrix with one product A (w0 (x)_k I) and
+    always uses ``lstsq``. ``lstsq`` returns the minimum-norm solution; when
+    it finds a mode matrix of lower rank than n_k the result is flagged
+    ``rank_deficient``. The objective is computed from the residual itself,
+    not from the normal equations, which would cancel below the stopping rule.
     """
     if iter_max < 1:
         raise ValueError("iter_max must be at least 1")
@@ -187,18 +249,27 @@ def als_rank_one(op: LinearOperator, r, iter_max: int = 15, seed: int = 0) -> Ra
         return RankOneVector.zeros(dims)
     rng = np.random.default_rng(seed)
     factors = _random_unit_factors(dims, rng)
+    lap = op.laplacian
+    if lap is not None:
+        t = r.reshape(dims.modes)
+        r_modes = [np.moveaxis(t, k, 0).reshape(n_k, -1) for k, n_k in enumerate(dims.modes)]
+        c_modes = [lap.alpha * np.eye(n_k) + f for n_k, f in zip(dims.modes, lap.factors)]
+        images = [f @ y for f, y in zip(lap.factors, factors)]
     rank_deficient = False
     objective = None
     for _ in range(iter_max):
         previous = objective
         went_zero = False
         for k in range(dims.d):
-            m = _mode_matrix(op, factors, k)
-            sol, _, rank, _ = np.linalg.lstsq(m, r, rcond=None)
-            if rank < dims.modes[k]:
-                rank_deficient = True
+            if lap is None:
+                w = reduce(np.multiply.outer, factors[:k] + factors[k + 1:], np.ones(()))
+                sol, objective, deficient = _dense_step(op._matrix, w, r, dims, k)
+            else:
+                w, s = _mode_weights(factors, images, k)
+                sol, objective, deficient = _structured_step(c_modes[k], w, s, r_modes[k])
+                images[k] = lap.factors[k] @ sol
+            rank_deficient |= deficient
             factors[k] = sol
-            objective = float(np.linalg.norm(r - m @ sol))
             if not np.any(sol):
                 went_zero = True
                 break
@@ -245,6 +316,7 @@ def grou(
         return GrouReport(x, history, 0, RESIDUAL_BELOW_EPS)
     stop = RANK_MAX_REACHED
     terms = 0
+    deficient_terms = 0
     for i in range(rank_max):
         y = als_rank_one(op, r, iter_max=als_iter_max, seed=_term_seed(seed, i))
         yv = y.to_vector()
@@ -262,13 +334,14 @@ def grou(
         r = r_new
         history.append(norm_new)
         terms += 1
+        deficient_terms += y.rank_deficient
         if norm_new < eps:
             stop = RESIDUAL_BELOW_EPS
             break
         if abs(norm_new - history[-2]) < tol:
             stop = STAGNATION
             break
-    return GrouReport(x, history, terms, stop)
+    return GrouReport(x, history, terms, stop, deficient_terms)
 
 
 def direct_solve(a, b) -> np.ndarray:

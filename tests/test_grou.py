@@ -10,6 +10,7 @@ from kronlap import (
     STAGNATION,
     SingularMatrixError,
     als_rank_one,
+    build_poisson,
     direct_solve,
     grou,
     lap_to_dense,
@@ -148,6 +149,79 @@ class TestGrou:
             grou(identity_op((2, 3)), np.ones(5))
         with pytest.raises(ValueError):
             grou(identity_op((2, 3)), np.ones(6), eps=0.0)
+
+
+def dense_twin(lap):
+    return LinearOperator.from_dense(lap_to_dense(lap), lap.dims)
+
+
+class TestStructuredModeStep:
+    @pytest.mark.parametrize("modes", [(7,), (2, 3), (3, 2, 4), (2, 3, 2, 2)])
+    def test_matches_dense_path(self, modes):
+        rng = np.random.default_rng(len(modes))
+        lap = random_laplacian_like(modes, rng, alpha=2.0 * len(modes) + 3.0 + rng.uniform())
+        b = rng.standard_normal(lap.n)
+        rep_struct = grou(LinearOperator.from_laplacian(lap), b, seed=4)
+        rep_dense = grou(dense_twin(lap), b, seed=4)
+        assert rep_struct.terms_used == rep_dense.terms_used >= 1
+        np.testing.assert_allclose(
+            rep_struct.residual_history, rep_dense.residual_history, rtol=0, atol=1e-10
+        )
+
+    def test_zero_operator_stagnates(self):
+        op = LinearOperator.from_laplacian(LaplacianLike.zeros((2, 3), alpha=0.0))
+        rep = grou(op, np.ones(6))
+        assert rep.stop_reason == STAGNATION
+        assert rep.terms_used == 0
+        np.testing.assert_array_equal(rep.x, np.zeros(6))
+
+    def test_ill_conditioned_falls_back_and_matches_dense(self, monkeypatch):
+        # A_1 = 0 makes the mode-0 matrix w0 (x) C_0 with cond(C_0) = 2e10
+        lap = LaplacianLike.from_factors(
+            (2, 3), [np.diag([1.0, -1.0]), np.zeros((3, 3))], alpha=1.0 + 1e-10
+        )
+        assert np.linalg.cond(lap_to_dense(lap)) > 1e9
+        b = np.kron([1.0, 0.0], np.random.default_rng(0).standard_normal(3))
+        calls = []
+        lstsq = np.linalg.lstsq
+
+        def spy(*args, **kwargs):
+            calls.append(1)
+            return lstsq(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "lstsq", spy)
+        rep_struct = grou(LinearOperator.from_laplacian(lap), b, seed=2)
+        assert calls, "the structured path never left the Cholesky solve"
+        rep_dense = grou(dense_twin(lap), b, seed=2)
+        assert rep_struct.terms_used == rep_dense.terms_used
+        np.testing.assert_allclose(
+            rep_struct.residual_history, rep_dense.residual_history, rtol=0, atol=1e-10
+        )
+
+    def test_singular_operator_counts_rank_deficient_terms(self):
+        lap = LaplacianLike.from_factors(
+            (2, 3), [np.diag([1.0, -1.0]), np.zeros((3, 3))], alpha=1.0
+        )
+        b = np.kron([1.0, 0.0], np.random.default_rng(0).standard_normal(3))
+        for op in (LinearOperator.from_laplacian(lap), dense_twin(lap)):
+            rep = grou(op, b, seed=2)
+            assert rep.stop_reason == RESIDUAL_BELOW_EPS
+            assert rep.rank_deficient_terms == rep.terms_used == 1
+            assert type(rep.rank_deficient_terms) is int
+
+    def test_well_conditioned_solve_is_not_rank_deficient(self):
+        rng = np.random.default_rng(8)
+        lap = random_laplacian_like((3, 4), rng, alpha=8.0)
+        rep = grou(LinearOperator.from_laplacian(lap), rng.standard_normal(12))
+        assert rep.terms_used >= 1
+        assert rep.rank_deficient_terms == 0
+
+    def test_separable_poisson_one_term(self):
+        problem = build_poisson(10)
+        rep = grou(LinearOperator.from_laplacian(problem.operator), problem.rhs, rank_max=1)
+        assert rep.terms_used == 1
+        ref = direct_solve(lap_to_dense(problem.operator), problem.rhs)
+        assert np.linalg.norm(rep.x - ref) <= 1e-10 * np.linalg.norm(ref)
 
 
 class TestDirectSolve:
