@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import MatrixMarketError, SingularMatrixError
 from .grou import LinearOperator, direct_solve, grou
-from .kron_core import DimSplit, LaplacianLike, lap_to_dense
+from .kron_core import DimSplit, LaplacianLike, _as_square_matrix, lap_to_dense
 from .lap_project import (
     METHOD_ITERATIVE,
     identity_component,
@@ -95,18 +95,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _check_square_dims(a: np.ndarray, modes: tuple[int, ...]) -> DimSplit:
-    dims = DimSplit(modes)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"input must be a square matrix, got shape {a.shape}")
-    if a.shape[0] != dims.n:
-        raise ValueError(
-            f"matrix is {a.shape[0]}x{a.shape[1]} but dims {','.join(map(str, modes))} "
-            f"require size {dims.n}"
-        )
-    return dims
-
-
 def _read_vector(path, n: int) -> np.ndarray:
     m = read_matrix_market(path)
     if 1 not in m.shape:
@@ -118,8 +106,7 @@ def _read_vector(path, n: int) -> np.ndarray:
 
 
 def _cmd_decompose(args) -> int:
-    a = read_matrix_market(args.input)
-    dims = _check_square_dims(a, args.dims)
+    a, dims = _as_square_matrix(read_matrix_market(args.input), args.dims)
     if args.tol <= 0:
         raise ValueError("tol must be positive")
     norm_a = float(np.linalg.norm(a))
@@ -154,8 +141,7 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_solve(args) -> int:
-    a = read_matrix_market(args.matrix)
-    dims = _check_square_dims(a, args.dims)
+    a, dims = _as_square_matrix(read_matrix_market(args.matrix), args.dims)
     b = _read_vector(args.rhs, dims.n)
     b_norm = float(np.linalg.norm(b))
     if args.method == "direct":

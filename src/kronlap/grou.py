@@ -17,12 +17,14 @@ import scipy.linalg
 from scipy.linalg.lapack import dpocon, dpotrf, dpotrs
 
 from .config import get_config
-from .errors import SingularMatrixError, SizeLimitError
+from .errors import SingularMatrixError
 from .kron_core import (
     DimSplit,
     LaplacianLike,
     _as_dims,
     _as_matrix,
+    _as_square_matrix,
+    _check_dense_cap,
     _require_finite,
     _require_square,
     lap_matvec,
@@ -31,9 +33,6 @@ from .kron_core import (
 RESIDUAL_BELOW_EPS = "residual_below_eps"
 STAGNATION = "stagnation"
 RANK_MAX_REACHED = "rank_max_reached"
-
-KIND_DENSE = "dense"
-KIND_LAPLACIAN = "laplacian"
 
 # Reciprocal condition (1-norm estimate) below which a structured mode step
 # leaves the Cholesky solve of its normal equations for least squares. The
@@ -97,31 +96,25 @@ def _unit_first(n: int) -> np.ndarray:
 class LinearOperator:
     """Square linear map on R^N, either a dense matrix or a structured form.
 
-    ``kind`` is "dense" or "laplacian"; the laplacian kind applies the operator
-    through mode-wise contractions and never builds an N x N matrix.
+    An operator holding a Laplacian-like form applies it through mode-wise
+    contractions and never builds an N x N matrix; otherwise it holds a dense
+    matrix.
     """
 
-    def __init__(self, dims: DimSplit, kind: str, matrix=None, laplacian=None):
+    def __init__(self, dims: DimSplit, matrix=None, laplacian=None):
         self.dims = _as_dims(dims)
-        self.kind = kind
         self._matrix = matrix
         self._laplacian = laplacian
 
     @classmethod
     def from_dense(cls, a, dims) -> "LinearOperator":
-        dims = _as_dims(dims)
-        a = _as_matrix(a, "matrix")
-        _require_square(a)
+        a, dims = _as_square_matrix(a, dims)
         _require_finite(a, "matrix")
-        if a.shape[0] != dims.n:
-            raise ValueError(
-                f"matrix side {a.shape[0]} does not match dims {dims.modes} (N={dims.n})"
-            )
-        return cls(dims, KIND_DENSE, matrix=a)
+        return cls(dims, matrix=a)
 
     @classmethod
     def from_laplacian(cls, lap: LaplacianLike) -> "LinearOperator":
-        return cls(lap.dims, KIND_LAPLACIAN, laplacian=lap)
+        return cls(lap.dims, laplacian=lap)
 
     @property
     def n(self) -> int:
@@ -132,7 +125,7 @@ class LinearOperator:
         return self._laplacian
 
     def apply(self, x) -> np.ndarray:
-        if self.kind == KIND_DENSE:
+        if self._laplacian is None:
             return self._matrix @ x
         return lap_matvec(self._laplacian, x)
 
@@ -353,11 +346,7 @@ def direct_solve(a, b) -> np.ndarray:
     a = _as_matrix(a, "matrix")
     _require_square(a)
     _require_finite(a, "matrix")
-    cap = get_config().dense_cap
-    if a.shape[0] > cap:
-        raise SizeLimitError(
-            f"direct solve of size {a.shape[0]} exceeds the configured cap {cap}"
-        )
+    _check_dense_cap(a.shape[0], "direct solve")
     b = np.asarray(b, dtype=float)
     if b.shape != (a.shape[0],):
         raise ValueError(f"right-hand side of length {a.shape[0]} expected, got shape {b.shape}")

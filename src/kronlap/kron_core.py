@@ -13,6 +13,7 @@ from functools import reduce
 
 import numpy as np
 import scipy.linalg
+from numpy.lib.stride_tricks import as_strided
 
 from .config import get_config
 from .errors import SingularMatrixError, SizeLimitError
@@ -82,6 +83,42 @@ def _as_dims(dims) -> DimSplit:
     return dims if isinstance(dims, DimSplit) else DimSplit(tuple(dims))
 
 
+def _as_square_matrix(a, dims) -> tuple[np.ndarray, DimSplit]:
+    """Validate a 2-D matrix of side N = prod(dims); return it with its DimSplit."""
+    dims = _as_dims(dims)
+    m = _as_matrix(a, "matrix")
+    if m.shape != (dims.n, dims.n):
+        raise ValueError(
+            f"matrix is {m.shape[0]}x{m.shape[1]} but dims "
+            f"{','.join(map(str, dims.modes))} require size {dims.n}x{dims.n}"
+        )
+    return m, dims
+
+
+def _check_dense_cap(n: int, what: str = "dense materialization"):
+    """Raise SizeLimitError when an n x n dense result would exceed the configured cap."""
+    cap = get_config().dense_cap
+    if n > cap:
+        raise SizeLimitError(f"{what} of size {n} exceeds the configured cap {cap}")
+
+
+def _mode_blocks(m: np.ndarray, dims: DimSplit, i: int) -> np.ndarray:
+    """Writable (L, n_i, R, n_i) view of the N x N array ``m``.
+
+    Entry [l, p, r, q] is m[(l, p, r), (l, q, r)] in (left, mode i, right)
+    multi-indices: the entries where every mode except ``i`` agrees, which are
+    exactly those an identity-padded mode-``i`` factor can be nonzero on. The
+    view is built from ``m.strides``, so any memory layout works without a copy.
+    """
+    n_i, right = dims.modes[i], dims.right_size(i)
+    s_row, s_col = m.strides
+    return as_strided(
+        m,
+        shape=(dims.left_size(i), n_i, right, n_i),
+        strides=(n_i * right * (s_row + s_col), right * s_row, s_row + s_col, right * s_col),
+    )
+
+
 def kron(a, b) -> np.ndarray:
     """Kronecker product of two dense matrices.
 
@@ -103,7 +140,7 @@ def embed(i: int, x, dims) -> np.ndarray:
     """Pad a single-mode square matrix with identities on every other mode.
 
     Returns the N x N matrix id (x) ... (x) x (x) ... (x) id with ``x`` in
-    slot ``i`` (0-based).
+    slot ``i`` (0-based): a zero fill plus N * n_i writes, no multiplications.
     """
     dims = _as_dims(dims)
     dims.check_mode(i)
@@ -111,12 +148,10 @@ def embed(i: int, x, dims) -> np.ndarray:
     n_i = dims.modes[i]
     if x.shape != (n_i, n_i):
         raise ValueError(f"factor for mode {i} must be {n_i}x{n_i}, got {x.shape}")
-    cap = get_config().dense_cap
-    if dims.n > cap:
-        raise SizeLimitError(
-            f"dense materialization of size {dims.n} exceeds the configured cap {cap}"
-        )
-    return np.kron(np.eye(dims.left_size(i)), np.kron(x, np.eye(dims.right_size(i))))
+    _check_dense_cap(dims.n)
+    out = np.zeros((dims.n, dims.n))
+    _mode_blocks(out, dims, i)[...] = x[:, None, :]
+    return out
 
 
 def frobenius_inner(a, b) -> float:
@@ -139,16 +174,9 @@ def partial_trace(a, dims, i: int) -> np.ndarray:
     ``frobenius_inner(embed(i, X, dims), A) == frobenius_inner(X, partial_trace(A, dims, i))``
     and it preserves the total trace.
     """
-    dims = _as_dims(dims)
+    a, dims = _as_square_matrix(a, dims)
     dims.check_mode(i)
-    a = _as_matrix(a, "matrix")
-    _require_square(a)
-    if a.shape[0] != dims.n:
-        raise ValueError(f"matrix side {a.shape[0]} does not match N={dims.n}")
-    t = a.reshape(dims.modes * 2)
-    d = dims.d
-    sub = list(range(d)) + [j if j != i else d for j in range(d)]
-    return np.einsum(t, sub, [i, d])
+    return _mode_blocks(a, dims, i).sum(axis=(0, 2))
 
 
 @dataclass(frozen=True, eq=False)
@@ -216,16 +244,16 @@ class LaplacianLike:
 
 
 def lap_to_dense(lap: LaplacianLike) -> np.ndarray:
-    """Materialize the represented N x N matrix (subject to the dense cap)."""
+    """Materialize the represented N x N matrix (subject to the dense cap).
+
+    Costs the N^2 fill of alpha * id plus N * n_i in-place additions per mode.
+    """
     n = lap.dims.n
-    cap = get_config().dense_cap
-    if n > cap:
-        raise SizeLimitError(
-            f"dense materialization of size {n} exceeds the configured cap {cap}"
-        )
+    _check_dense_cap(n)
     out = lap.alpha * np.eye(n)
     for i, f in enumerate(lap.factors):
-        out += embed(i, f, lap.dims)
+        blocks = _mode_blocks(out, lap.dims, i)
+        blocks += f[:, None, :]
     return out
 
 
@@ -293,12 +321,7 @@ class FactorGroupElement:
         object.__setattr__(self, "factors", factors)
 
     def to_dense(self) -> np.ndarray:
-        n = self.dims.n
-        cap = get_config().dense_cap
-        if n > cap:
-            raise SizeLimitError(
-                f"dense materialization of size {n} exceeds the configured cap {cap}"
-            )
+        _check_dense_cap(self.dims.n)
         return reduce(np.kron, self.factors)
 
 
@@ -324,11 +347,7 @@ def dense_exp(a, tol: float = 1e-12) -> np.ndarray:
     _require_square(a)
     if tol <= 0:
         raise ValueError("tol must be positive")
-    cap = get_config().dense_cap
-    if a.shape[0] > cap:
-        raise SizeLimitError(
-            f"dense exponential of size {a.shape[0]} exceeds the configured cap {cap}"
-        )
+    _check_dense_cap(a.shape[0], "dense exponential")
     norm = np.linalg.norm(a, 1)
     squarings = max(0, int(np.ceil(np.log2(norm)))) if norm > 1.0 else 0
     b = a / (2.0 ** squarings)

@@ -15,10 +15,9 @@ import numpy as np
 from .config import get_config
 from .errors import PreconditionError
 from .kron_core import (
-    DimSplit,
     LaplacianLike,
-    _as_dims,
     _as_matrix,
+    _as_square_matrix,
     _require_square,
     embed,
     lap_to_dense,
@@ -40,17 +39,6 @@ class ProjectionReport:
     method: str
 
 
-def _check_sizes(a, dims) -> tuple[np.ndarray, DimSplit]:
-    dims = _as_dims(dims)
-    a = _as_matrix(a, "matrix")
-    _require_square(a)
-    if a.shape[0] != dims.n:
-        raise ValueError(
-            f"matrix side {a.shape[0]} does not match dims {dims.modes} (N={dims.n})"
-        )
-    return a, dims
-
-
 def identity_component(a) -> float:
     """Coefficient of id_N in the orthogonal decomposition: tr(A)/N."""
     a = _as_matrix(a, "matrix")
@@ -65,7 +53,7 @@ def mode_projection(a, dims, i: int) -> np.ndarray:
     unique traceless minimizer of ||A' - embed(i, X)||_F for the trace-free
     part A' of A.
     """
-    a, dims = _check_sizes(a, dims)
+    a, dims = _as_square_matrix(a, dims)
     dims.check_mode(i)
     n_i = dims.modes[i]
     x = (n_i / dims.n) * partial_trace(a, dims, i)
@@ -77,11 +65,13 @@ def mode_projection(a, dims, i: int) -> np.ndarray:
 
 def project_laplacian(a, dims) -> ProjectionReport:
     """Closed-form orthogonal projection onto the Laplacian-like subspace."""
-    a, dims = _check_sizes(a, dims)
+    a, dims = _as_square_matrix(a, dims)
     alpha = identity_component(a)
     factors = tuple(mode_projection(a, dims, i) for i in range(dims.d))
     proj = LaplacianLike(dims, alpha, factors)
-    residual = float(np.linalg.norm(a - lap_to_dense(proj)))
+    p = lap_to_dense(proj)
+    p -= a
+    residual = float(np.linalg.norm(p))
     norm_a = float(np.linalg.norm(a))
     rel = residual / norm_a if norm_a > 0.0 else 0.0
     return ProjectionReport(proj, residual, rel, 0, METHOD_CLOSED)
@@ -96,7 +86,7 @@ def project_delta_sweeps(a, dims, iter_max: int = 10, tol: float = 1e-8) -> Proj
     modes already at this sweep's values. Stops when the residual norm drops
     below ``tol`` or after ``iter_max`` sweeps.
     """
-    a, dims = _check_sizes(a, dims)
+    a, dims = _as_square_matrix(a, dims)
     if iter_max < 1:
         raise ValueError("iter_max must be at least 1")
     if tol <= 0:

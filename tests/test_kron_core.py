@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kronlap import (
     DimSplit,
@@ -205,6 +207,52 @@ class TestPartialTrace:
     def test_non_square(self):
         with pytest.raises(ValueError):
             partial_trace(np.ones((6, 5)), (2, 3), 0)
+
+
+# Memory layouts of the same N x N values: partial_trace reads them through
+# strides, so each must give the loop oracle's answer without a copy.
+LAYOUTS = {
+    "c_order": lambda m: m,
+    "f_order": np.asfortranarray,
+    "transposed": lambda m: np.ascontiguousarray(m.T).T,
+    "strided_slice": lambda m: np.repeat(np.repeat(m, 2, axis=0), 3, axis=1)[::2, 1::3],
+    "reversed": lambda m: m[::-1, ::-1].copy()[::-1, ::-1],
+}
+
+random_modes = st.lists(st.integers(2, 4), min_size=1, max_size=4)
+
+
+class TestModeBlockProperties:
+    @settings(max_examples=40, deadline=None)
+    @given(modes=random_modes, seed=st.integers(0, 2**32 - 1))
+    def test_lap_to_dense_matches_kron_chain(self, modes, seed):
+        rng = np.random.default_rng(seed)
+        lap = LaplacianLike.from_factors(
+            modes, [rng.standard_normal((n, n)) for n in modes], alpha=rng.standard_normal()
+        )
+        want = lap.alpha * np.eye(lap.n)
+        for i, f in enumerate(lap.factors):
+            want += embed_by_kron_chain(i, f, modes)
+        np.testing.assert_array_equal(lap_to_dense(lap), want)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        modes=random_modes,
+        data=st.data(),
+        seed=st.integers(0, 2**32 - 1),
+        layout=st.sampled_from(sorted(LAYOUTS)),
+    )
+    def test_partial_trace_matches_loops_on_any_layout(self, modes, data, seed, layout):
+        i = data.draw(st.integers(0, len(modes) - 1))
+        values = np.random.default_rng(seed).standard_normal((np.prod(modes),) * 2)
+        a = LAYOUTS[layout](values)
+        np.testing.assert_array_equal(a, values)
+        got = partial_trace(a, modes, i)
+        want = partial_trace_by_loops(values, modes, i)
+        # any summation order of k terms is within (k - 1) * u * sum|terms|
+        k = values.shape[0] // modes[i]
+        bound = 2 * k * np.finfo(float).eps * partial_trace_by_loops(np.abs(values), modes, i)
+        assert np.all(np.abs(got - want) <= bound)
 
 
 class TestLaplacianLike:
