@@ -28,7 +28,6 @@ from .kron_core import (
     DimSplit,
     FactorGroupElement,
     LaplacianLike,
-    dense_exp,
     embed,
     frobenius_inner,
     frobenius_norm,
@@ -83,7 +82,6 @@ __all__ = [
     "bench_poisson",
     "build_poisson",
     "default_config",
-    "dense_exp",
     "direct_solve",
     "embed",
     "exact_solution",

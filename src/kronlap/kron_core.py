@@ -246,11 +246,13 @@ class LaplacianLike:
 def lap_to_dense(lap: LaplacianLike) -> np.ndarray:
     """Materialize the represented N x N matrix (subject to the dense cap).
 
-    Costs the N^2 fill of alpha * id plus N * n_i in-place additions per mode.
+    Costs one N^2 zero fill, N diagonal writes of alpha and N * n_i in-place
+    additions per mode.
     """
     n = lap.dims.n
     _check_dense_cap(n)
-    out = lap.alpha * np.eye(n)
+    out = np.zeros((n, n))
+    out.flat[:: n + 1] = lap.alpha
     for i, f in enumerate(lap.factors):
         blocks = _mode_blocks(out, lap.dims, i)
         blocks += f[:, None, :]
@@ -335,30 +337,3 @@ def lap_exp(lap: LaplacianLike) -> FactorGroupElement:
     facs[0] = math.exp(lap.alpha) * facs[0]
     return FactorGroupElement(lap.dims, tuple(facs))
 
-
-def dense_exp(a, tol: float = 1e-12) -> np.ndarray:
-    """Matrix exponential by scaling-and-squaring of a truncated power series.
-
-    A desk-scale reference routine, not a production exponential: the series is
-    summed until the next term is below ``tol`` relative to the running sum,
-    then the result is squared back up.
-    """
-    a = _as_matrix(a, "matrix")
-    _require_square(a)
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    _check_dense_cap(a.shape[0], "dense exponential")
-    norm = np.linalg.norm(a, 1)
-    squarings = max(0, int(np.ceil(np.log2(norm)))) if norm > 1.0 else 0
-    b = a / (2.0 ** squarings)
-    n = a.shape[0]
-    out = np.eye(n)
-    term = np.eye(n)
-    for k in range(1, 128):
-        term = term @ b / k
-        out = out + term
-        if np.linalg.norm(term) <= tol * np.linalg.norm(out):
-            break
-    for _ in range(squarings):
-        out = out @ out
-    return out

@@ -9,6 +9,7 @@ Parse failures report the offending 1-based line number.
 
 import os
 import tempfile
+from itertools import chain
 
 import numpy as np
 
@@ -83,7 +84,14 @@ def _parse_floats(text, number, expected=None):
 
 
 def read_matrix_market(path) -> np.ndarray:
-    """Read a Matrix Market file into a dense 2-D float array."""
+    """Read a Matrix Market file into a dense 2-D float array.
+
+    An array-format body is parsed in one streamed pass. When that pass finds
+    anything it cannot take as is (a comment line, a bad or non-finite token,
+    a wrong count), the file is read again line by line, which either
+    succeeds or names the offending line. Coordinate files are read line by
+    line.
+    """
     with open(path, "r") as fh:
         lines = fh.read().splitlines()
     if not lines:
@@ -109,17 +117,47 @@ def read_matrix_market(path) -> np.ndarray:
         raise MatrixMarketError(f"bad size line {size_line!r}", line=size_number) from None
     if any(d < 0 for d in dims):
         raise MatrixMarketError(f"negative size in {size_line!r}", line=size_number)
-
-    if fmt == "array":
-        return _read_array(data, dims, symmetry, size_number, len(lines))
-    return _read_coordinate(data, dims, symmetry, len(lines))
-
-
-def _read_array(data, dims, symmetry, size_number, last_line):
-    rows, cols = dims
-    if symmetry == "symmetric" and rows != cols:
+    if symmetry == "symmetric" and dims[0] != dims[1]:
         raise MatrixMarketError("symmetric matrix must be square", line=size_number)
-    expected = rows * cols if symmetry == "general" else rows * (rows + 1) // 2
+
+    if fmt == "coordinate":
+        return _read_coordinate(data, dims, symmetry, len(lines))
+    m = _fast_array(lines[size_number:], dims, symmetry)
+    return m if m is not None else _read_array(data, dims, symmetry, len(lines))
+
+
+def _array_count(dims, symmetry):
+    rows, cols = dims
+    return rows * cols if symmetry == "general" else rows * (rows + 1) // 2
+
+
+def _fill_array(values, dims, symmetry):
+    """Place column-major array-format values; symmetric ones fill both triangles."""
+    rows, cols = dims
+    if symmetry == "general":
+        return values.reshape(cols, rows).T.copy()
+    m = np.zeros((rows, cols))
+    jj, ii = np.triu_indices(rows)  # (j, i) with i >= j, j slowest: column-major lower triangle
+    m[ii, jj] = values
+    m[jj, ii] = values
+    return m
+
+
+def _fast_array(body, dims, symmetry):
+    """Array-format values of ``body`` in one streamed pass, or None if any is off."""
+    tokens = chain.from_iterable(map(str.split, body))
+    try:
+        # a bad token or too few values raises; count= stops before any surplus
+        values = np.fromiter(map(float, tokens), dtype=float, count=_array_count(dims, symmetry))
+    except ValueError:
+        return None
+    if next(tokens, None) is not None or not np.isfinite(values).all():
+        return None
+    return _fill_array(values, dims, symmetry)
+
+
+def _read_array(data, dims, symmetry, last_line):
+    expected = _array_count(dims, symmetry)
     values = []
     for number, text in data:
         for v in _parse_floats(text, number):
@@ -132,26 +170,11 @@ def _read_array(data, dims, symmetry, size_number, last_line):
         raise MatrixMarketError(
             f"expected {expected} values, found {len(values)}", line=last_line
         )
-    m = np.zeros((rows, cols))
-    it = iter(values)
-    # array format is column-major
-    if symmetry == "general":
-        for j in range(cols):
-            for i in range(rows):
-                m[i, j] = next(it)
-    else:
-        for j in range(cols):
-            for i in range(j, rows):
-                v = next(it)
-                m[i, j] = v
-                m[j, i] = v
-    return m
+    return _fill_array(np.array(values, dtype=float), dims, symmetry)
 
 
 def _read_coordinate(data, dims, symmetry, last_line):
     rows, cols, nnz = dims
-    if symmetry == "symmetric" and rows != cols:
-        raise MatrixMarketError("symmetric matrix must be square")
     m = np.zeros((rows, cols))
     seen = 0
     for number, text in data:
@@ -190,17 +213,14 @@ def write_matrix_market(path, matrix, fmt: str = "array"):
     if fmt not in ("array", "coordinate"):
         raise ValueError(f"unsupported output format {fmt!r}")
     rows, cols = m.shape
-    out = []
     if fmt == "array":
-        out.append(f"{_BANNER} matrix array real general")
-        out.append(f"{rows} {cols}")
-        for j in range(cols):
-            for i in range(rows):
-                out.append(repr(float(m[i, j])))
+        out = [f"{_BANNER} matrix array real general", f"{rows} {cols}"]
+        out += map(repr, m.T.ravel().tolist())
     else:
         ii, jj = np.nonzero(m)
-        out.append(f"{_BANNER} matrix coordinate real general")
-        out.append(f"{rows} {cols} {len(ii)}")
-        for i, j in zip(ii, jj):
-            out.append(f"{i + 1} {j + 1} {repr(float(m[i, j]))}")
+        out = [f"{_BANNER} matrix coordinate real general", f"{rows} {cols} {len(ii)}"]
+        out += (
+            f"{i} {j} {v!r}"
+            for i, j, v in zip((ii + 1).tolist(), (jj + 1).tolist(), m[ii, jj].tolist())
+        )
     atomic_write_text(path, "\n".join(out) + "\n")

@@ -1,8 +1,11 @@
 """Independent brute-force reference implementations used only by the tests.
 
-Everything here deliberately avoids the library's own code paths: Kronecker
+Most of these deliberately avoid the library's own code paths: Kronecker
 products by the index formula, partial traces by explicit multi-index loops,
-and projections by solving the normal equations over an explicit basis.
+projections by solving the normal equations over an explicit basis, and the
+matrix exponential by a truncated power series. The exception is
+`sweeps_by_embed`, the projection sweeps written with the library's full
+N x N `embed`, kept as a bit-exact reference for the in-place sweeps.
 """
 
 import math
@@ -10,6 +13,8 @@ from functools import reduce
 from itertools import product
 
 import numpy as np
+
+from kronlap import SizeLimitError, embed, get_config, partial_trace
 
 
 def kron_by_index_formula(a, b):
@@ -103,3 +108,63 @@ def project_by_normal_equations(a, modes):
     for c, b in zip(coeff, basis):
         out += c * b
     return out
+
+
+def dense_exp(a, tol: float = 1e-12) -> np.ndarray:
+    """Matrix exponential by scaling-and-squaring of a truncated power series.
+
+    A desk-scale reference routine, not a production exponential: the series is
+    summed until the next term is below ``tol`` relative to the running sum,
+    then the result is squared back up. Honors the configured dense cap.
+    """
+    a = np.asarray(a, dtype=float)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError(f"matrix must be square, got shape {a.shape}")
+    if tol <= 0:
+        raise ValueError("tol must be positive")
+    n = a.shape[0]
+    cap = get_config().dense_cap
+    if n > cap:
+        raise SizeLimitError(f"dense exponential of size {n} exceeds the configured cap {cap}")
+    norm = np.linalg.norm(a, 1)
+    squarings = max(0, int(np.ceil(np.log2(norm)))) if norm > 1.0 else 0
+    b = a / (2.0 ** squarings)
+    out = np.eye(n)
+    term = np.eye(n)
+    for k in range(1, 128):
+        term = term @ b / k
+        out = out + term
+        if np.linalg.norm(term) <= tol * np.linalg.norm(out):
+            break
+    for _ in range(squarings):
+        out = out @ out
+    return out
+
+
+def sweeps_by_embed(a, modes, iter_max, tol):
+    """Per-mode projection sweeps that subtract each update as a full N x N embed.
+
+    Returns (factors, residual_fro, sweeps_used) with the same floating-point
+    operations per entry as the library's in-place sweeps, so results match
+    bit for bit.
+    """
+    a = np.asarray(a, float)
+    modes = tuple(modes)
+    n = math.prod(modes)
+    xs = [np.zeros((m, m)) for m in modes]
+    resid = a.copy()
+    residual = float(np.linalg.norm(a))
+    sweeps = 0
+    while sweeps < iter_max:
+        for i, n_i in enumerate(modes):
+            u = (n_i / n) * partial_trace(resid, modes, i)
+            u -= (np.trace(u) / n_i) * np.eye(n_i)
+            xs[i] += u
+            resid -= embed(i, u, modes)
+        sweeps += 1
+        residual = float(np.linalg.norm(resid))
+        if residual < tol:
+            break
+    for x, n_i in zip(xs, modes):
+        x -= (np.trace(x) / n_i) * np.eye(n_i)
+    return xs, residual, sweeps

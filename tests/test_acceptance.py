@@ -15,7 +15,6 @@ from kronlap import (
     LinearOperator,
     SizeLimitError,
     build_poisson,
-    dense_exp,
     direct_solve,
     embed,
     frobenius_inner,
@@ -38,7 +37,7 @@ from conftest import (
     SPARSE30_X3,
     random_laplacian_like,
 )
-from oracles import project_by_normal_equations
+from oracles import dense_exp, project_by_normal_equations
 
 
 @contextmanager

@@ -9,7 +9,6 @@ from kronlap import (
     LaplacianLike,
     SingularMatrixError,
     SizeLimitError,
-    dense_exp,
     embed,
     frobenius_inner,
     frobenius_norm,
@@ -23,7 +22,7 @@ from kronlap import (
 )
 
 from conftest import ADJ6_X1, ADJ6_X2, SPARSE30_ALPHA, SPARSE30_X1, SPARSE30_X2, SPARSE30_X3, random_laplacian_like
-from oracles import embed_by_kron_chain, kron_by_index_formula, partial_trace_by_loops, traceless_basis
+from oracles import dense_exp, embed_by_kron_chain, kron_by_index_formula, partial_trace_by_loops, traceless_basis
 
 
 class TestDimSplit:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kronlap import (
     LaplacianLike,
@@ -23,7 +25,7 @@ from conftest import (
     SPARSE30_X3,
     random_laplacian_like,
 )
-from oracles import project_by_normal_equations, traceless_basis
+from oracles import project_by_normal_equations, sweeps_by_embed, traceless_basis
 
 
 class TestIdentityComponent:
@@ -198,6 +200,34 @@ class TestSweeps:
     def test_trace_precondition(self):
         with pytest.raises(PreconditionError, match="6.0"):
             project_delta_sweeps(np.eye(6), (2, 3))
+
+
+class TestSweepsMatchEmbedOracle:
+    """The in-place sweeps do the embed-based sweeps' arithmetic, entry for entry."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        modes=st.lists(st.integers(2, 4), min_size=1, max_size=4),
+        seed=st.integers(0, 2**32 - 1),
+        iter_max=st.integers(1, 4),
+        tol=st.sampled_from([1e-300, 1e-12, 1e-8, 1.0]),
+        near_member=st.booleans(),
+        fortran=st.booleans(),
+    )
+    def test_bit_equal(self, modes, seed, iter_max, tol, near_member, fortran):
+        rng = np.random.default_rng(seed)
+        n = int(np.prod(modes))
+        a = rng.standard_normal((n, n))
+        if near_member:
+            a = lap_to_dense(random_laplacian_like(modes, rng)) + 1e-9 * a
+        a -= np.trace(a) / n * np.eye(n)
+        given_a = np.asfortranarray(a) if fortran else a
+        rep = project_delta_sweeps(given_a, modes, iter_max=iter_max, tol=tol)
+        factors, residual, sweeps = sweeps_by_embed(a, modes, iter_max, tol)
+        assert rep.sweeps_used == sweeps
+        assert rep.residual_fro == residual
+        for got, want in zip(rep.projection.factors, factors):
+            assert got.tobytes() == want.tobytes()
 
 
 class TestMembership:
