@@ -70,7 +70,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rhs", required=True)
     p.add_argument("--dims", required=True, type=_dims_arg)
     p.add_argument("--method", choices=["auto", "direct"], default="auto",
-                   help="auto: greedy solver with structure detection; direct: dense LU")
+                   help="auto: greedy solver with structure detection; direct: pivoted LU")
     p.add_argument("--eps", type=float, default=1e-6)
     p.add_argument("--tol", type=float, default=2.22e-6)
     p.add_argument("--rank-max", type=int, default=3000)
@@ -119,7 +119,8 @@ def _cmd_decompose(args) -> int:
         method = report.method
     else:
         alpha = identity_component(a)
-        shifted = a - alpha * np.eye(dims.n)
+        shifted = a.copy()
+        shifted.flat[:: dims.n + 1] -= alpha
         delta = project_delta_sweeps(shifted, dims, iter_max=args.iter_max, tol=args.tol)
         factors = delta.projection.factors
         residual = delta.residual_fro

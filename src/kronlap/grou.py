@@ -14,7 +14,7 @@ from functools import reduce
 
 import numpy as np
 import scipy.linalg
-from scipy.linalg.lapack import dpocon, dpotrf, dpotrs
+from scipy.linalg.lapack import dgbtrf, dgbtrs, dpocon, dpotrf, dpotrs
 
 from .config import get_config
 from .errors import SingularMatrixError
@@ -337,23 +337,63 @@ def grou(
     return GrouReport(x, history, terms, stop, deficient_terms)
 
 
-def direct_solve(a, b) -> np.ndarray:
-    """Solve A x = b by pivoted LU elimination (the dense reference path).
+def _bandwidths(a) -> tuple[int, int]:
+    """Lower and upper bandwidth (kl, ku): the largest i - j and j - i over the nonzeros."""
+    n = a.shape[0]
+    nz = a != 0
+    first = np.argmax(nz, axis=1)
+    last = n - 1 - np.argmax(nz[:, ::-1], axis=1)
+    rows = np.flatnonzero(nz[np.arange(n), first])  # argmax is 0 on an all-zero row
+    if rows.size == 0:
+        return 0, 0
+    return max(int((rows - first[rows]).max()), 0), max(int((last[rows] - rows).max()), 0)
 
-    Raises SingularMatrixError when the smallest pivot falls below the
-    configured relative tolerance.
+
+def _band_lu(a, kl: int, ku: int):
+    """Pivoted LU of ``a`` in LAPACK band storage: (factor, pivots).
+
+    Row kl + ku of the (2kl + ku + 1) x N storage holds the diagonal; the kl
+    rows above the copied band take the fill that row interchanges create.
+    """
+    n = a.shape[0]
+    ab = np.zeros((2 * kl + ku + 1, n), order="F")
+    for d in range(-kl, ku + 1):
+        ab[kl + ku - d, max(d, 0): n + min(d, 0)] = np.diagonal(a, d)
+    lu, piv, _ = dgbtrf(ab, kl, ku, overwrite_ab=True)
+    return lu, piv
+
+
+def direct_solve(a, b) -> np.ndarray:
+    """Solve A x = b by LU elimination with partial pivoting (the reference path).
+
+    When the band that holds A's nonzeros, widened by the fill that pivoting
+    can create (2kl + ku + 1 diagonals), is at most half of N, the LU runs in
+    LAPACK band storage (``dgbtrf``/``dgbtrs``) in O(N kl (kl + ku)) work;
+    otherwise it runs on the dense matrix. Both pick the same pivot rows, so
+    they compute the same factors up to rounding. ``a`` is never written.
+
+    Raises SingularMatrixError, on either path, when the smallest pivot
+    |u_ii| is at most the configured ``pivot_tol`` times max(max |u_ii|, 1).
     """
     a = _as_matrix(a, "matrix")
     _require_square(a)
     _require_finite(a, "matrix")
-    _check_dense_cap(a.shape[0], "direct solve")
+    n = a.shape[0]
+    _check_dense_cap(n, "direct solve")
     b = np.asarray(b, dtype=float)
-    if b.shape != (a.shape[0],):
-        raise ValueError(f"right-hand side of length {a.shape[0]} expected, got shape {b.shape}")
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-        lu, piv = scipy.linalg.lu_factor(a)
-    diag = np.abs(np.diag(lu))
+    if b.shape != (n,):
+        raise ValueError(f"right-hand side of length {n} expected, got shape {b.shape}")
+    _require_finite(b, "right-hand side")
+    kl, ku = _bandwidths(a) if n else (0, 0)
+    band = 2 * (2 * kl + ku + 1) <= n
+    if band:
+        lu, piv = _band_lu(a, kl, ku)
+        diag = np.abs(lu[kl + ku])
+    else:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
+            lu, piv = scipy.linalg.lu_factor(a, check_finite=False)
+        diag = np.abs(np.diag(lu))
     pivot_min = float(diag.min()) if diag.size else 0.0
     pivot_max = float(diag.max()) if diag.size else 0.0
     if pivot_min <= get_config().pivot_tol * max(pivot_max, 1.0):
@@ -361,4 +401,6 @@ def direct_solve(a, b) -> np.ndarray:
             f"matrix is singular to tolerance (min pivot {pivot_min:.3e})",
             pivot=pivot_min,
         )
-    return scipy.linalg.lu_solve((lu, piv), b)
+    if band:
+        return dgbtrs(lu, kl, ku, b, piv)[0]
+    return scipy.linalg.lu_solve((lu, piv), b, check_finite=False)

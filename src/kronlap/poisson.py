@@ -100,7 +100,7 @@ def _best_of_three(fn):
 
 
 def bench_poisson(sizes, grou_params: dict | None = None, output_path=None) -> list[dict]:
-    """Time the structured greedy solver against dense LU on Poisson problems.
+    """Time the structured greedy solver against pivoted LU on Poisson problems.
 
     Returns one row per (size, method) and, when ``output_path`` is given,
     writes them as CSV with header n,N,method,seconds,rel_residual,terms.

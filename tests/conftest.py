@@ -2,6 +2,17 @@ import numpy as np
 import pytest
 
 
+# Memory layouts of the same N x N values. Code that reads a matrix through
+# its strides must give the same answer for each.
+LAYOUTS = {
+    "c_order": lambda m: m,
+    "f_order": np.asfortranarray,
+    "transposed": lambda m: np.ascontiguousarray(m.T).T,
+    "strided_slice": lambda m: np.repeat(np.repeat(m, 2, axis=0), 3, axis=1)[::2, 1::3],
+    "reversed": lambda m: m[::-1, ::-1].copy()[::-1, ::-1],
+}
+
+
 @pytest.fixture
 def adjacency6():
     """6x6 graph adjacency matrix that is an exact sum of identity-padded

@@ -2,17 +2,20 @@
 
 Most of these deliberately avoid the library's own code paths: Kronecker
 products by the index formula, partial traces by explicit multi-index loops,
-projections by solving the normal equations over an explicit basis, and the
-matrix exponential by a truncated power series. The exception is
+projections by solving the normal equations over an explicit basis, the
+matrix exponential by a truncated power series, and linear solves by scipy's
+dense pivoted LU with no band storage. The exception is
 `sweeps_by_embed`, the projection sweeps written with the library's full
 N x N `embed`, kept as a bit-exact reference for the in-place sweeps.
 """
 
 import math
+import warnings
 from functools import reduce
 from itertools import product
 
 import numpy as np
+import scipy.linalg
 
 from kronlap import SizeLimitError, embed, get_config, partial_trace
 
@@ -168,3 +171,24 @@ def sweeps_by_embed(a, modes, iter_max, tol):
     for x, n_i in zip(xs, modes):
         x -= (np.trace(x) / n_i) * np.eye(n_i)
     return xs, residual, sweeps
+
+
+def bandwidths_by_nonzeros(a):
+    """Lower and upper bandwidth (kl, ku): the largest i - j and j - i over the nonzeros."""
+    i, j = np.nonzero(a)
+    return int(np.max(i - j, initial=0)), int(np.max(j - i, initial=0))
+
+
+def lu_by_dense_factor(a, b):
+    """Solve by plain ``lu_factor``/``lu_solve``: (x, |diag(U)|, || |L| |U| ||_inf).
+
+    The last value scales the rounding error of any LU with the same pivots.
+    """
+    a = np.asarray(a, float)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # singular inputs: x is then meaningless
+        lu, piv = scipy.linalg.lu_factor(a)
+        x = scipy.linalg.lu_solve((lu, piv), b)
+    lower = np.tril(lu, -1) + np.eye(a.shape[0])
+    lu_norm = np.linalg.norm(np.abs(lower) @ np.abs(np.triu(lu)), np.inf)
+    return x, np.abs(np.diag(lu)), lu_norm

@@ -1,5 +1,10 @@
+import importlib
+
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kronlap import (
     DimSplit,
@@ -12,11 +17,17 @@ from kronlap import (
     als_rank_one,
     build_poisson,
     direct_solve,
+    get_config,
     grou,
     lap_to_dense,
+    use_config,
 )
 
-from conftest import random_laplacian_like
+from conftest import LAYOUTS, random_laplacian_like
+from oracles import bandwidths_by_nonzeros, lu_by_dense_factor
+
+# the package's `grou` attribute is the solver function, which hides the module
+grou_module = importlib.import_module("kronlap.grou")
 
 
 def identity_op(modes):
@@ -251,3 +262,92 @@ class TestDirectSolve:
         a[2, 2] = 1e-15
         with pytest.raises(SingularMatrixError):
             direct_solve(a, np.ones(3))
+
+    @pytest.mark.parametrize("a", [np.eye(8), np.random.default_rng(9).standard_normal((8, 8))])
+    def test_non_finite_rhs_rejected(self, a):
+        # the identity takes the band path, the full matrix the dense one
+        b = np.ones(8)
+        b[3] = np.nan
+        with pytest.raises(ValueError, match="right-hand side"):
+            direct_solve(a, b)
+
+
+def spy_factorizations(mp):
+    """Record each band (kl, ku) or dense LU that direct_solve runs."""
+    calls = []
+    band, dense = grou_module.dgbtrf, scipy.linalg.lu_factor
+
+    def band_spy(ab, kl, ku, **kwargs):
+        calls.append(("band", kl, ku))
+        return band(ab, kl, ku, **kwargs)
+
+    def dense_spy(a, **kwargs):
+        calls.append(("dense",))
+        return dense(a, **kwargs)
+
+    mp.setattr(grou_module, "dgbtrf", band_spy)
+    mp.setattr(scipy.linalg, "lu_factor", dense_spy)
+    return calls
+
+
+class TestBandDirectSolve:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        n=st.integers(1, 40),
+        data=st.data(),
+        seed=st.integers(0, 2**32 - 1),
+        layout=st.sampled_from(sorted(LAYOUTS)),
+    )
+    def test_matches_dense_lu(self, n, data, seed, layout):
+        kl = data.draw(st.integers(0, n - 1), label="kl")
+        ku = data.draw(st.integers(0, n - 1), label="ku")
+        zero_rows = data.draw(st.lists(st.integers(0, n - 1), max_size=2), label="zero_rows")
+        rng = np.random.default_rng(seed)
+        i, j = np.indices((n, n))
+        values = np.where((i - j <= kl) & (j - i <= ku), rng.standard_normal((n, n)), 0.0)
+        values[zero_rows] = 0.0
+        a = LAYOUTS[layout](values)
+        b = rng.standard_normal(n)
+        x_ref, pivots, lu_norm = lu_by_dense_factor(values, b)
+        kl_nz, ku_nz = bandwidths_by_nonzeros(values)
+        # Higham, Accuracy and Stability, Thm 9.4: LU with these pivots solves
+        # (A + dA) x = b with |dA| <= gamma_3n |L||U|
+        gamma = 3 * n * np.finfo(float).eps / (1 - 3 * n * np.finfo(float).eps)
+        with pytest.MonkeyPatch.context() as mp:
+            calls = spy_factorizations(mp)
+            with use_config(pivot_tol=np.inf):  # every solve reports its min pivot
+                with pytest.raises(SingularMatrixError) as err:
+                    direct_solve(a, b)
+            # same pivot rows, so each |u_ii| differs by rounding only
+            assert abs(err.value.pivot - pivots.min()) <= 2 * gamma * lu_norm
+            if pivots.min() <= get_config().pivot_tol * max(pivots.max(), 1.0):
+                with pytest.raises(SingularMatrixError):
+                    direct_solve(a, b)
+            else:
+                x = direct_solve(a, b)
+                inv_norm = np.linalg.norm(np.linalg.inv(values), np.inf)
+                bound = 2 * gamma * inv_norm * lu_norm * (np.abs(x).max() + np.abs(x_ref).max())
+                assert np.abs(x - x_ref).max() <= bound
+        band = 2 * (2 * kl_nz + ku_nz + 1) <= n
+        assert set(calls) == {("band", kl_nz, ku_nz) if band else ("dense",)}
+        np.testing.assert_array_equal(a, values)  # the caller's matrix is never written
+
+    def test_exactly_singular_band_raises(self):
+        a = 2.0 * np.eye(20) - np.eye(20, k=1) - np.eye(20, k=-1)
+        a[:, 7] = 0.0
+        with pytest.MonkeyPatch.context() as mp:
+            calls = spy_factorizations(mp)
+            with pytest.raises(SingularMatrixError) as err:
+                direct_solve(a, np.ones(20))
+        assert calls == [("band", 1, 1)]
+        assert err.value.pivot == 0.0
+
+    def test_poisson_takes_band_path_and_full_matrix_dense(self, monkeypatch):
+        calls = spy_factorizations(monkeypatch)
+        problem = build_poisson(8)
+        direct_solve(lap_to_dense(problem.operator), problem.rhs)
+        assert calls == [("band", 64, 64)]
+        calls.clear()
+        rng = np.random.default_rng(4)
+        direct_solve(rng.standard_normal((40, 40)) + 40.0 * np.eye(40), rng.standard_normal(40))
+        assert calls == [("dense",)]

@@ -21,7 +21,7 @@ from kronlap import (
     use_config,
 )
 
-from conftest import ADJ6_X1, ADJ6_X2, SPARSE30_ALPHA, SPARSE30_X1, SPARSE30_X2, SPARSE30_X3, random_laplacian_like
+from conftest import ADJ6_X1, ADJ6_X2, LAYOUTS, SPARSE30_ALPHA, SPARSE30_X1, SPARSE30_X2, SPARSE30_X3, random_laplacian_like
 from oracles import dense_exp, embed_by_kron_chain, kron_by_index_formula, partial_trace_by_loops, traceless_basis
 
 
@@ -207,16 +207,6 @@ class TestPartialTrace:
         with pytest.raises(ValueError):
             partial_trace(np.ones((6, 5)), (2, 3), 0)
 
-
-# Memory layouts of the same N x N values: partial_trace reads them through
-# strides, so each must give the loop oracle's answer without a copy.
-LAYOUTS = {
-    "c_order": lambda m: m,
-    "f_order": np.asfortranarray,
-    "transposed": lambda m: np.ascontiguousarray(m.T).T,
-    "strided_slice": lambda m: np.repeat(np.repeat(m, 2, axis=0), 3, axis=1)[::2, 1::3],
-    "reversed": lambda m: m[::-1, ::-1].copy()[::-1, ::-1],
-}
 
 random_modes = st.lists(st.integers(2, 4), min_size=1, max_size=4)
 

@@ -107,6 +107,18 @@ class TestFastReaderMatchesLineByLine:
             np.testing.assert_array_equal(fast, fast.T)
 
 
+    def test_other_line_breaks(self, tmp_path, monkeypatch):
+        # str.splitlines also breaks at form feed, NEL and the like, even right
+        # after the size line; both readers must count lines the same way
+        f = tmp_path / "a.mtx"
+        f.write_text("%%MatrixMarket matrix array real general\n2 2\x0c1.0\x0c0.0\n0.0\x851.0\n")
+        fast, slow = _read_both(f, monkeypatch)
+        assert fast.tobytes() == slow.tobytes() == np.eye(2).tobytes()
+        f.write_text("%%MatrixMarket matrix array real general\n2 2\x0c1.0\x0cx\n0.0\n1.0\n")
+        with pytest.raises(MatrixMarketError, match="^line 4: cannot parse value 'x'$"):
+            read_matrix_market(f)
+
+
 class TestErrors:
     def test_malformed_header(self, tmp_path):
         f = tmp_path / "bad.mtx"
@@ -124,6 +136,23 @@ class TestErrors:
         f = tmp_path / "bad.mtx"
         f.write_text("%%MatrixMarket matrix array real general\n2 2\n1.0\n2.0\n3.0\n")
         with pytest.raises(MatrixMarketError, match="expected 4 values"):
+            read_matrix_market(f)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("%%MatrixMarket matrix array real general\n2 2\n1.0\x0c2.0\n3.0\n% end\n\n",
+             "^line 7: expected 4 values, found 3$"),
+            ("%%MatrixMarket matrix coordinate real general\n2 2 2\n1 1 1.0\n% end\n",
+             "^line 4: expected 2 entries, found 1$"),
+            ("%%MatrixMarket matrix array real general\n% only a comment\n\n",
+             "^line 3: missing size line$"),
+        ],
+    )
+    def test_short_file_names_its_last_line(self, tmp_path, text, message):
+        f = tmp_path / "bad.mtx"
+        f.write_text(text)
+        with pytest.raises(MatrixMarketError, match=message):
             read_matrix_market(f)
 
     def test_too_many_array_values(self, tmp_path):
