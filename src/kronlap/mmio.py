@@ -56,40 +56,9 @@ def _parse_header(line):
     return fmt, symmetry
 
 
-class _Lines:
-    """(number, line) pairs of an open text file, read one line at a time.
-
-    Lines are split and numbered as ``fh.read().splitlines()`` would split
-    and number them; ``count`` is the number of the last line returned.
-    """
-
-    def __init__(self, fh):
-        self._fh = fh
-        self._pending = []  # lines of the last text read not yet returned, reversed
-        self.count = 0
-
-    def __iter__(self):
-        return self
-
-    def __next__(self):
-        while not self._pending:
-            self._pending = next(self._fh).splitlines()[::-1]
-        self.count += 1
-        return self.count, self._pending.pop()
-
-    def rest(self):
-        """The text after the last line returned, for a pass that only splits tokens."""
-        return chain(reversed(self._pending), self._fh)
-
-    def remaining(self):
-        """The lines after the last one returned, read whole: (pairs, last line number)."""
-        lines = self._pending[::-1] + self._fh.read().splitlines()
-        return enumerate(lines, start=self.count + 1), self.count + len(lines)
-
-
 def _data_lines(lines):
     """Yield (1-based line number, stripped content), skipping comments and blanks."""
-    for number, raw in lines:
+    for number, raw in enumerate(lines[1:], start=2):
         stripped = raw.strip()
         if not stripped or stripped.startswith("%"):
             continue
@@ -117,41 +86,23 @@ def _parse_floats(text, number, expected=None):
 def read_matrix_market(path) -> np.ndarray:
     """Read a Matrix Market file into a dense 2-D float array.
 
-    An array-format body is parsed in one pass over its tokens as they are
-    read, so the file's text is never held whole. When that pass finds
+    An array-format body is parsed in one streamed pass. When that pass finds
     anything it cannot take as is (a comment line, a bad or non-finite token,
-    a wrong count), the file is read again from the start, line by line,
-    which either succeeds or names the offending line. Coordinate files are
-    read line by line.
+    a wrong count), the file is read again line by line, which either
+    succeeds or names the offending line. Coordinate files are read line by
+    line.
     """
     with open(path, "r") as fh:
-        lines = _Lines(fh)
-        fmt, symmetry, dims = _read_head(lines)
-        if fmt == "array":
-            m = _fast_array(lines.rest(), dims, symmetry)
-            if m is not None:
-                return m
-            fh.seek(0)
-            lines = _Lines(fh)
-            _read_head(lines)
-        data, last_line = lines.remaining()
-    read = _read_coordinate if fmt == "coordinate" else _read_array
-    return read(_data_lines(data), dims, symmetry, last_line)
-
-
-def _read_head(lines):
-    """Parse the header and the size line: (fmt, symmetry, dims).
-
-    Leaves ``lines`` just past the size line.
-    """
-    first = next(lines, None)
-    if first is None:
+        lines = fh.read().splitlines()
+    if not lines:
         raise MatrixMarketError("empty file", line=1)
-    fmt, symmetry = _parse_header(first[1])
-    size = next(_data_lines(lines), None)
-    if size is None:
-        raise MatrixMarketError("missing size line", line=lines.count)
-    size_number, size_line = size
+    fmt, symmetry = _parse_header(lines[0])
+
+    data = _data_lines(lines)
+    try:
+        size_number, size_line = next(data)
+    except StopIteration:
+        raise MatrixMarketError("missing size line", line=len(lines)) from None
 
     tokens = size_line.split()
     want = 2 if fmt == "array" else 3
@@ -168,7 +119,11 @@ def _read_head(lines):
         raise MatrixMarketError(f"negative size in {size_line!r}", line=size_number)
     if symmetry == "symmetric" and dims[0] != dims[1]:
         raise MatrixMarketError("symmetric matrix must be square", line=size_number)
-    return fmt, symmetry, dims
+
+    if fmt == "coordinate":
+        return _read_coordinate(data, dims, symmetry, len(lines))
+    m = _fast_array(lines[size_number:], dims, symmetry)
+    return m if m is not None else _read_array(data, dims, symmetry, len(lines))
 
 
 def _array_count(dims, symmetry):

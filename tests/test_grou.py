@@ -328,7 +328,7 @@ class TestBandDirectSolve:
                 inv_norm = np.linalg.norm(np.linalg.inv(values), np.inf)
                 bound = 2 * gamma * inv_norm * lu_norm * (np.abs(x).max() + np.abs(x_ref).max())
                 assert np.abs(x - x_ref).max() <= bound
-        band = 2 * (2 * kl_nz + ku_nz + 1) <= n
+        band = 2 * kl_nz + ku_nz + 1 <= n
         assert set(calls) == {("band", kl_nz, ku_nz) if band else ("dense",)}
         np.testing.assert_array_equal(a, values)  # the caller's matrix is never written
 
