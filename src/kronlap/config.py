@@ -17,7 +17,6 @@ ENV_DENSE_CAP = "KRONLAP_DENSE_CAP"
 class NumericConfig:
     dense_cap: int = 4096          # max side length of any materialized N x N matrix
     kron_max_side: int = 2 ** 20   # max side length of a kron() result
-    canonical_tol: float = 1e-12   # per-unit-dimension trace tolerance of canonical factors
     membership_tol: float = 1e-8   # relative residual threshold for subspace membership
     pivot_tol: float = 1e-12       # relative pivot threshold for singularity detection
 

@@ -25,6 +25,12 @@ def _as_matrix(a, name="matrix") -> np.ndarray:
         raise ValueError(f"{name} must be 2-dimensional, got ndim={m.ndim}")
     return m
 
+def _as_vector(x, n: int, name="vector") -> np.ndarray:
+    v = np.asarray(x, dtype=float)
+    if v.shape != (n,):
+        raise ValueError(f"{name} of length {n} expected, got shape {v.shape}")
+    return v
+
 def _require_square(m, name="matrix"):
     if m.shape[0] != m.shape[1]:
         raise ValueError(f"{name} must be square, got shape {m.shape}")
@@ -32,6 +38,20 @@ def _require_square(m, name="matrix"):
 def _require_finite(m, name="matrix"):
     if not np.all(np.isfinite(m)):
         raise ValueError(f"{name} contains non-finite entries")
+
+def _require_nonsingular(pivots, what: str):
+    """Raise SingularMatrixError when min |u_ii| <= pivot_tol * max(max |u_ii|, 1).
+
+    ``pivots`` is the diagonal of an LU factor U; an empty one counts as singular.
+    """
+    piv = np.abs(pivots)
+    pivot_min = float(piv.min()) if piv.size else 0.0
+    pivot_max = float(piv.max()) if piv.size else 0.0
+    if pivot_min <= get_config().pivot_tol * max(pivot_max, 1.0):
+        raise SingularMatrixError(
+            f"{what} is singular to tolerance (min pivot {pivot_min:.3e})",
+            pivot=pivot_min,
+        )
 
 
 @dataclass(frozen=True)
@@ -181,12 +201,13 @@ def partial_trace(a, dims, i: int) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class LaplacianLike:
-    """Canonical structured form alpha*id_N + sum_i embed(i, factors[i]).
+    """The operator alpha*id_N + sum_i embed(i, factors[i]), in canonical form.
 
-    Factors are stored traceless; the identity component of every mode lives in
-    ``alpha``. This makes the representation unique, so two values describe the
-    same operator exactly when their fields match. Use :meth:`from_factors`
-    to build one from arbitrary (not necessarily traceless) factors.
+    Any finite square factors are accepted. The constructor moves tr(F_i)/n_i
+    of each factor into ``alpha`` (on its own copy), so the stored factors are
+    traceless and the identity component of every mode lives in ``alpha``.
+    This makes the representation unique: two values describe the same
+    operator exactly when their fields match, up to rounding.
     """
 
     dims: DimSplit
@@ -196,42 +217,27 @@ class LaplacianLike:
     def __post_init__(self):
         dims = _as_dims(self.dims)
         object.__setattr__(self, "dims", dims)
-        object.__setattr__(self, "alpha", float(self.alpha))
-        if not math.isfinite(self.alpha):
+        alpha = float(self.alpha)
+        if not math.isfinite(alpha):
             raise ValueError("alpha must be finite")
         factors = tuple(np.array(f, dtype=float) for f in self.factors)
         if len(factors) != dims.d:
             raise ValueError(f"expected {dims.d} factors, got {len(factors)}")
-        tol = get_config().canonical_tol
         for i, (f, n_i) in enumerate(zip(factors, dims.modes)):
             if f.shape != (n_i, n_i):
                 raise ValueError(f"factor {i} must be {n_i}x{n_i}, got {f.shape}")
             _require_finite(f, f"factor {i}")
-            if abs(float(np.trace(f))) > tol * n_i:
-                raise ValueError(
-                    f"factor {i} has trace {np.trace(f)!r}; canonical factors are "
-                    "traceless (build with LaplacianLike.from_factors)"
-                )
+            shift = float(np.trace(f)) / n_i
+            alpha += shift
+            f -= shift * np.eye(n_i)
             f.flags.writeable = False
+        object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "factors", factors)
 
     @classmethod
     def from_factors(cls, dims, factors, alpha: float = 0.0) -> "LaplacianLike":
-        """Canonicalize arbitrary square factors: move tr(F_i)/n_i into alpha."""
-        dims = _as_dims(dims)
-        a = float(alpha)
-        canon = []
-        factors = tuple(factors)
-        if len(factors) != dims.d:
-            raise ValueError(f"expected {dims.d} factors, got {len(factors)}")
-        for f, n_i in zip(factors, dims.modes):
-            f = _as_matrix(f, "factor")
-            if f.shape != (n_i, n_i):
-                raise ValueError(f"factor must be {n_i}x{n_i}, got {f.shape}")
-            shift = float(np.trace(f)) / n_i
-            a += shift
-            canon.append(f - shift * np.eye(n_i))
-        return cls(dims, a, tuple(canon))
+        """Build from arbitrary square factors; the constructor canonicalizes them."""
+        return cls(dims, alpha, tuple(factors))
 
     @classmethod
     def zeros(cls, dims, alpha: float = 0.0) -> "LaplacianLike":
@@ -264,11 +270,7 @@ def lap_matvec(lap: LaplacianLike, x) -> np.ndarray:
 
     One tensor contraction per mode: O(N * sum_i n_i) work, no N x N storage.
     """
-    x = np.asarray(x, dtype=float)
-    n = lap.dims.n
-    if x.shape != (n,):
-        raise ValueError(f"vector of length {n} expected, got shape {x.shape}")
-    t = x.reshape(lap.dims.modes)
+    t = _as_vector(x, lap.dims.n).reshape(lap.dims.modes)
     out = lap.alpha * t
     for i, f in enumerate(lap.factors):
         out = out + np.moveaxis(np.tensordot(f, t, axes=(1, i)), 0, i)
@@ -280,16 +282,12 @@ def lie_bracket(l1: LaplacianLike, l2: LaplacianLike) -> LaplacianLike:
 
     Identity parts commute with everything and cross-mode terms cancel, so the
     bracket has alpha = 0 and per-mode factors [A_i, B_i] = A_i B_i - B_i A_i.
+    These are traceless in exact arithmetic, so the alpha the constructor
+    collects from them is rounding noise.
     """
     if l1.dims != l2.dims:
         raise ValueError(f"dims mismatch: {l1.dims.modes} vs {l2.dims.modes}")
-    factors = []
-    for a, b in zip(l1.factors, l2.factors):
-        c = a @ b - b @ a
-        # tr[A,B] = 0 exactly; remove the float dust so the canonical check holds
-        c -= (np.trace(c) / c.shape[0]) * np.eye(c.shape[0])
-        factors.append(c)
-    return LaplacianLike(l1.dims, 0.0, tuple(factors))
+    return LaplacianLike(l1.dims, 0.0, tuple(a @ b - b @ a for a, b in zip(l1.factors, l2.factors)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -305,7 +303,6 @@ class FactorGroupElement:
         factors = tuple(np.array(f, dtype=float) for f in self.factors)
         if len(factors) != dims.d:
             raise ValueError(f"expected {dims.d} factors, got {len(factors)}")
-        tol = get_config().pivot_tol
         for i, (f, n_i) in enumerate(zip(factors, dims.modes)):
             if f.shape != (n_i, n_i):
                 raise ValueError(f"factor {i} must be {n_i}x{n_i}, got {f.shape}")
@@ -313,12 +310,7 @@ class FactorGroupElement:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
                 lu, _ = scipy.linalg.lu_factor(f)
-            piv = np.abs(np.diag(lu))
-            if piv.min() <= tol * max(piv.max(), 1.0):
-                raise SingularMatrixError(
-                    f"factor {i} is singular to tolerance (min pivot {piv.min():.3e})",
-                    pivot=float(piv.min()),
-                )
+            _require_nonsingular(np.diag(lu), f"factor {i}")
             f.flags.writeable = False
         object.__setattr__(self, "factors", factors)
 

@@ -50,16 +50,15 @@ def identity_component(a) -> float:
 def mode_projection(a, dims, i: int) -> np.ndarray:
     """Traceless mode-``i`` factor of the orthogonal projection.
 
-    X_i = (n_i/N) * partial_trace(A, dims, i) - (tr(A)/N) * id, which is the
-    unique traceless minimizer of ||A' - embed(i, X)||_F for the trace-free
-    part A' of A.
+    X_i = (n_i/N) * partial_trace(A, dims, i) minus its own trace part, which
+    is (tr(A)/N) * id. It is the unique traceless minimizer of
+    ||A' - embed(i, X)||_F for the trace-free part A' of A, and also the
+    update of one mode step in :func:`project_delta_sweeps`.
     """
     a, dims = _as_square_matrix(a, dims)
     dims.check_mode(i)
     n_i = dims.modes[i]
     x = (n_i / dims.n) * partial_trace(a, dims, i)
-    x -= (np.trace(a) / dims.n) * np.eye(n_i)
-    # exact trace removal; mathematically a no-op, kills accumulation dust
     x -= (np.trace(x) / n_i) * np.eye(n_i)
     return x
 
@@ -81,9 +80,10 @@ def project_laplacian(a, dims) -> ProjectionReport:
 def project_delta_sweeps(a, dims, iter_max: int = 10, tol: float = 1e-8) -> ProjectionReport:
     """Cyclic per-mode sweeps toward the traceless part of the projection.
 
-    Requires tr(A) ~ 0. Callers with a general matrix must subtract
-    identity_component(A) * id first. Within a sweep each mode's update is the
-    exact traceless least-squares fit of the current residual, with earlier
+    Requires |tr(A)| <= 1e-10 * N * ||A||_F, a bound relative to the scale of
+    A: callers with a general matrix must subtract identity_component(A) * id
+    first. Within a sweep each mode's update is :func:`mode_projection` of
+    the current residual, the exact traceless least-squares fit, with earlier
     modes already at this sweep's values. Stops when the residual norm drops
     below ``tol`` or after ``iter_max`` sweeps.
 
@@ -97,21 +97,21 @@ def project_delta_sweeps(a, dims, iter_max: int = 10, tol: float = 1e-8) -> Proj
     if tol <= 0:
         raise ValueError("tol must be positive")
     trace = float(np.trace(a))
-    if abs(trace) > 1e-10 * dims.n:
+    norm_a = float(np.linalg.norm(a))
+    bound = 1e-10 * dims.n * norm_a
+    if abs(trace) > bound:
         raise PreconditionError(
             f"trace precondition violated: tr(A) = {trace!r} but at most "
-            f"{1e-10 * dims.n:g} in magnitude is allowed; subtract "
+            f"{bound:g} in magnitude is allowed; subtract "
             "identity_component(A) * id first"
         )
     xs = [np.zeros((n, n)) for n in dims.modes]
     resid = a.copy()
-    norm_a = float(np.linalg.norm(a))
     sweeps = 0
     residual = norm_a
     while sweeps < iter_max:
-        for i, n_i in enumerate(dims.modes):
-            u = (n_i / dims.n) * partial_trace(resid, dims, i)
-            u -= (np.trace(u) / n_i) * np.eye(n_i)
+        for i in range(dims.d):
+            u = mode_projection(resid, dims, i)
             xs[i] += u
             blocks = _mode_blocks(resid, dims, i)
             blocks -= u[:, None, :]
@@ -119,8 +119,6 @@ def project_delta_sweeps(a, dims, iter_max: int = 10, tol: float = 1e-8) -> Proj
         residual = float(np.linalg.norm(resid))
         if residual < tol:
             break
-    for x, n_i in zip(xs, dims.modes):
-        x -= (np.trace(x) / n_i) * np.eye(n_i)
     proj = LaplacianLike(dims, 0.0, tuple(xs))
     rel = residual / norm_a if norm_a > 0.0 else 0.0
     return ProjectionReport(proj, residual, rel, sweeps, METHOD_ITERATIVE)

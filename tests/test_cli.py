@@ -76,6 +76,25 @@ class TestDecompose:
         for f, g in zip(closed["factors"], iterative["factors"]):
             np.testing.assert_allclose(np.array(f), np.array(g), atol=1e-10)
 
+    def test_large_scale_methods_agree(self, tmp_path):
+        a = 1e8 * np.random.default_rng(21).standard_normal((64, 64))
+        src = tmp_path / "a.mtx"
+        write_matrix_market(src, a)
+        reports = {}
+        for method in ("closed", "iterative"):
+            out = tmp_path / f"{method}.json"
+            code = run(
+                "decompose", "--input", str(src), "--dims", "4,4,4",
+                "--method", method, "--output", str(out),
+            )
+            assert code == 0
+            reports[method] = json.loads(out.read_text())
+        closed, iterative = reports["closed"], reports["iterative"]
+        scale = np.linalg.norm(a)
+        assert abs(closed["alpha"] - iterative["alpha"]) <= 1e-12 * scale
+        for f, g in zip(closed["factors"], iterative["factors"]):
+            assert np.linalg.norm(np.array(f) - np.array(g)) <= 1e-12 * scale
+
     def test_dims_mismatch_exit_2(self, tmp_path, adjacency6, capsys):
         src = tmp_path / "a.mtx"
         write_matrix_market(src, adjacency6)

@@ -7,7 +7,6 @@ def test_defaults():
     cfg = NumericConfig()
     assert cfg.dense_cap == 4096
     assert cfg.kron_max_side == 2**20
-    assert cfg.canonical_tol == 1e-12
     assert cfg.membership_tol == 1e-8
 
 

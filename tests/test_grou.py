@@ -263,6 +263,28 @@ class TestDirectSolve:
         with pytest.raises(SingularMatrixError):
             direct_solve(a, np.ones(3))
 
+    @pytest.mark.parametrize("a", [np.array([[1.0, 2.0], [2.0, 4.0]]), np.diag([1.0, 0.0, 2.0])])
+    def test_zero_pivot_tol_still_rejects_exact_zero_pivot(self, a):
+        # the 2 x 2 matrix takes the dense path, the diagonal one the band path
+        with use_config(pivot_tol=0.0), pytest.raises(SingularMatrixError) as err:
+            direct_solve(a, np.ones(a.shape[0]))
+        assert err.value.pivot == 0.0
+
+    def test_empty_system_is_singular(self):
+        with pytest.raises(SingularMatrixError) as err:
+            direct_solve(np.zeros((0, 0)), np.zeros(0))
+        assert err.value.pivot == 0.0
+
+    def test_column_vector_rejected(self):
+        op = identity_op((2, 3))
+        column = np.ones((6, 1))
+        with pytest.raises(ValueError, match="right-hand side of length 6"):
+            direct_solve(np.eye(6), column)
+        with pytest.raises(ValueError, match="right-hand side of length 6"):
+            grou(op, column)
+        with pytest.raises(ValueError, match="residual of length 6"):
+            als_rank_one(op, column)
+
     @pytest.mark.parametrize("a", [np.eye(8), np.random.default_rng(9).standard_normal((8, 8))])
     def test_non_finite_rhs_rejected(self, a):
         # the identity takes the band path, the full matrix the dense one

@@ -244,10 +244,28 @@ class TestModeBlockProperties:
         assert np.all(np.abs(got - want) <= bound)
 
 
+class TestScaleInvariance:
+    @settings(max_examples=60, deadline=None)
+    @given(modes=random_modes, k=st.integers(-12, 12), seed=st.integers(0, 2**32 - 1))
+    def test_from_factors_at_any_scale(self, modes, k, seed):
+        s = 10.0 ** k
+        rng = np.random.default_rng(seed)
+        fs = [rng.standard_normal((n, n)) for n in modes]
+        lap = LaplacianLike.from_factors(modes, [s * f for f in fs])
+        want = s * sum(embed_by_kron_chain(i, f, modes) for i, f in enumerate(fs))
+        # the trace shifts cancel in exact arithmetic; what is left is the rounding
+        # of s * F, of each shift and of the d + 1 terms summed per entry
+        eps = np.finfo(float).eps
+        bound = (2 * len(modes) + 3) * eps * s * sum(np.abs(f).max() for f in fs)
+        assert np.abs(lap_to_dense(lap) - want).max() <= bound
+
+
 class TestLaplacianLike:
-    def test_rejects_non_traceless_factor(self):
-        with pytest.raises(ValueError):
-            LaplacianLike((2, 3), 0.0, (np.eye(2), np.zeros((3, 3))))
+    def test_canonicalizes_non_traceless_factor(self):
+        lap = LaplacianLike((2, 3), 0.0, (np.eye(2), np.zeros((3, 3))))
+        assert lap.alpha == 1.0
+        for f in lap.factors:
+            assert not np.any(f)
 
     def test_from_factors_canonicalizes(self):
         rng = np.random.default_rng(0)
@@ -319,6 +337,10 @@ class TestLapMatvec:
         lap = LaplacianLike.zeros((2, 3))
         with pytest.raises(ValueError):
             lap_matvec(lap, np.ones(5))
+
+    def test_column_vector_rejected(self):
+        with pytest.raises(ValueError, match=r"vector of length 6 expected, got shape \(6, 1\)"):
+            lap_matvec(LaplacianLike.zeros((2, 3)), np.ones((6, 1)))
 
 
 class TestLieBracket:
@@ -400,6 +422,11 @@ class TestFactorGroupElement:
     def test_rejects_singular_factor(self):
         with pytest.raises(SingularMatrixError):
             FactorGroupElement((2, 3), (np.zeros((2, 2)), np.eye(3)))
+
+    def test_zero_pivot_tol_still_rejects_exact_zero_pivot(self):
+        with use_config(pivot_tol=0.0), pytest.raises(SingularMatrixError, match="factor 1") as err:
+            FactorGroupElement((2, 2), (np.eye(2), np.array([[1.0, 2.0], [2.0, 4.0]])))
+        assert err.value.pivot == 0.0
 
     def test_kron_inverse_property(self):
         rng = np.random.default_rng(8)

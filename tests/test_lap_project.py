@@ -201,6 +201,38 @@ class TestSweeps:
         with pytest.raises(PreconditionError, match="6.0"):
             project_delta_sweeps(np.eye(6), (2, 3))
 
+    def test_trace_precondition_is_relative_to_scale(self):
+        rng = np.random.default_rng(15)
+        a = 1e8 * rng.standard_normal((64, 64))
+        a.flat[::65] -= np.trace(a) / 64  # the shift `decompose --method iterative` applies
+        assert project_delta_sweeps(a, (4, 4, 4)).sweeps_used >= 1
+        near_identity = 1e-12 * (np.eye(6) + 1e-3 * rng.standard_normal((6, 6)))
+        with pytest.raises(PreconditionError):
+            project_delta_sweeps(near_identity, (2, 3))
+
+
+class TestProjectionScaleInvariance:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        modes=st.lists(st.integers(2, 4), min_size=1, max_size=4),
+        k=st.integers(-12, 12),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_projection_scales_with_input(self, modes, k, seed):
+        s = 10.0 ** k
+        n = int(np.prod(modes))
+        a = np.random.default_rng(seed).standard_normal((n, n))
+        base = project_laplacian(a, modes)
+        scaled = project_laplacian(s * a, modes)
+        # each projected quantity sums at most N entries of A and then d shifts,
+        # so it is within (N + d) * u * ||A||_F of exact; allow 4x that per run
+        rounding = 4 * (n + len(modes)) * np.finfo(float).eps
+        bound = rounding * s * np.linalg.norm(a)
+        assert abs(scaled.projection.alpha - s * base.projection.alpha) <= bound
+        for x, y in zip(scaled.projection.factors, base.projection.factors):
+            assert np.linalg.norm(x - s * y) <= bound
+        assert abs(scaled.relative_residual - base.relative_residual) <= rounding
+
 
 class TestSweepsMatchEmbedOracle:
     """The in-place sweeps do the embed-based sweeps' arithmetic, entry for entry."""
