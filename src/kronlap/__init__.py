@@ -9,7 +9,6 @@ from .config import NumericConfig, default_config, get_config, set_config, use_c
 from .errors import (
     KronlapError,
     MatrixMarketError,
-    PreconditionError,
     SingularMatrixError,
     SizeLimitError,
 )
@@ -70,7 +69,6 @@ __all__ = [
     "MembershipResult",
     "NumericConfig",
     "PoissonProblem",
-    "PreconditionError",
     "ProjectionReport",
     "RANK_MAX_REACHED",
     "RESIDUAL_BELOW_EPS",

@@ -14,13 +14,7 @@ import numpy as np
 from .errors import MatrixMarketError, SingularMatrixError
 from .grou import LinearOperator, direct_solve, grou
 from .kron_core import DimSplit, LaplacianLike, _as_square_matrix, lap_to_dense
-from .lap_project import (
-    METHOD_ITERATIVE,
-    identity_component,
-    laplacian_distance,
-    project_delta_sweeps,
-    project_laplacian,
-)
+from .lap_project import laplacian_distance, project_delta_sweeps, project_laplacian
 from .mmio import atomic_write_text, read_matrix_market, write_matrix_market
 from .poisson import bench_poisson, build_poisson
 
@@ -61,8 +55,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=["closed", "iterative"], default="closed")
     p.add_argument("--iter-max", type=int, default=10)
     p.add_argument("--tol", type=float, default=1e-8,
-                   help="membership threshold (relative); iterative sweeps also stop "
-                   "when the absolute residual drops below it")
+                   help="relative threshold: membership, and the iterative sweeps "
+                   "stop once the residual is at most tol * ||A||_F")
     p.add_argument("--output", required=True, help="JSON report path")
 
     p = sub.add_parser("solve", help="solve A x = b")
@@ -109,33 +103,19 @@ def _cmd_decompose(args) -> int:
     a, dims = _as_square_matrix(read_matrix_market(args.input), args.dims)
     if args.tol <= 0:
         raise ValueError("tol must be positive")
-    norm_a = float(np.linalg.norm(a))
     if args.method == "closed":
         report = project_laplacian(a, dims)
-        alpha = report.projection.alpha
-        factors = report.projection.factors
-        residual = report.residual_fro
-        sweeps = 0
-        method = report.method
     else:
-        alpha = identity_component(a)
-        shifted = a.copy()
-        shifted.flat[:: dims.n + 1] -= alpha
-        delta = project_delta_sweeps(shifted, dims, iter_max=args.iter_max, tol=args.tol)
-        factors = delta.projection.factors
-        residual = delta.residual_fro
-        sweeps = delta.sweeps_used
-        method = METHOD_ITERATIVE
-    relative = residual / norm_a if norm_a > 0 else 0.0
+        report = project_delta_sweeps(a, dims, iter_max=args.iter_max, tol=args.tol)
     payload = {
         "dims": list(dims.modes),
-        "alpha": alpha,
-        "factors": [f.tolist() for f in factors],
-        "residual_fro": residual,
-        "relative_residual": relative,
-        "is_member": relative <= args.tol,
-        "method": method,
-        "sweeps_used": sweeps,
+        "alpha": report.projection.alpha,
+        "factors": [f.tolist() for f in report.projection.factors],
+        "residual_fro": report.residual_fro,
+        "relative_residual": report.relative_residual,
+        "is_member": report.relative_residual <= args.tol,
+        "method": report.method,
+        "sweeps_used": report.sweeps_used,
     }
     atomic_write_text(args.output, json.dumps(payload, indent=2) + "\n")
     return EXIT_OK

@@ -15,8 +15,7 @@ ENV_DENSE_CAP = "KRONLAP_DENSE_CAP"
 
 @dataclass(frozen=True)
 class NumericConfig:
-    dense_cap: int = 4096          # max side length of any materialized N x N matrix
-    kron_max_side: int = 2 ** 20   # max side length of a kron() result
+    dense_cap: int = 4096          # max side of a materialized N x N matrix; kron gets cap^2 entries
     membership_tol: float = 1e-8   # relative residual threshold for subspace membership
     pivot_tol: float = 1e-12       # relative pivot threshold for singularity detection
 

@@ -9,10 +9,6 @@ class SizeLimitError(KronlapError, ValueError):
     """A dense materialization or Kronecker product would exceed a configured cap."""
 
 
-class PreconditionError(KronlapError, ValueError):
-    """A mathematical precondition of an operation is violated."""
-
-
 class SingularMatrixError(KronlapError, ArithmeticError):
     """Pivoted factorization found the matrix singular to tolerance."""
 

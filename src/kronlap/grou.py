@@ -357,7 +357,8 @@ def direct_solve(a, b) -> np.ndarray:
     they compute the same factors up to rounding. ``a`` is never written.
 
     Raises SingularMatrixError, on either path, when the smallest pivot
-    |u_ii| is at most the configured ``pivot_tol`` times max(max |u_ii|, 1).
+    |u_ii| is zero or at most the configured ``pivot_tol`` times the largest;
+    the test is relative, so it does not depend on the scale of A.
     """
     a = _as_matrix(a, "matrix")
     _require_square(a)

@@ -40,14 +40,16 @@ def _require_finite(m, name="matrix"):
         raise ValueError(f"{name} contains non-finite entries")
 
 def _require_nonsingular(pivots, what: str):
-    """Raise SingularMatrixError when min |u_ii| <= pivot_tol * max(max |u_ii|, 1).
+    """Raise SingularMatrixError when min |u_ii| <= pivot_tol * max |u_ii|.
 
-    ``pivots`` is the diagonal of an LU factor U; an empty one counts as singular.
+    ``pivots`` is the diagonal of an LU factor U. The test is relative, so it
+    does not depend on the scale of the matrix; an exact zero pivot and an
+    empty U always count as singular.
     """
     piv = np.abs(pivots)
     pivot_min = float(piv.min()) if piv.size else 0.0
     pivot_max = float(piv.max()) if piv.size else 0.0
-    if pivot_min <= get_config().pivot_tol * max(pivot_max, 1.0):
+    if pivot_min == 0.0 or pivot_min <= get_config().pivot_tol * pivot_max:
         raise SingularMatrixError(
             f"{what} is singular to tolerance (min pivot {pivot_min:.3e})",
             pivot=pivot_min,
@@ -142,16 +144,18 @@ def _mode_blocks(m: np.ndarray, dims: DimSplit, i: int) -> np.ndarray:
 def kron(a, b) -> np.ndarray:
     """Kronecker product of two dense matrices.
 
-    Entry [(i*Br + k), (j*Bc + l)] of the result is a[i, j] * b[k, l].
+    Entry [(i*Br + k), (j*Bc + l)] of the result is a[i, j] * b[k, l]. The
+    result may hold at most dense_cap^2 entries, the budget of an N x N
+    materialization.
     """
     a = _as_matrix(a, "a")
     b = _as_matrix(b, "b")
-    cap = get_config().kron_max_side
+    cap = get_config().dense_cap
     rows = a.shape[0] * b.shape[0]
     cols = a.shape[1] * b.shape[1]
-    if rows > cap or cols > cap:
+    if rows * cols > cap * cap:
         raise SizeLimitError(
-            f"kron result {rows}x{cols} exceeds the configured side cap {cap}"
+            f"kron result {rows}x{cols} exceeds the configured cap of {cap}^2 entries"
         )
     return np.kron(a, b)
 

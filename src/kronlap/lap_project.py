@@ -1,10 +1,14 @@
 """Orthogonal projection of square matrices onto the Laplacian-like subspace.
 
-Two routes to the same projection: a closed form built from partial traces,
-and cyclic per-mode sweeps that minimize the residual one traceless factor at
-a time. Because the per-mode traceless subspaces are mutually orthogonal the
-sweeps agree with the closed form after a single pass; extra sweeps only
-polish floating-point error.
+One engine computes it: take alpha = tr(A)/N off a copy of A, then, mode by
+mode, fit the traceless factor X_i (:func:`mode_projection`) to the running
+residual R and subtract embed(i, X_i) from R in place. The identity part and
+the per-mode traceless subspaces are mutually orthogonal, so fitting one of
+them leaves every other one's fit unchanged: a single pass of this sweep is
+already the closed-form projection, and further sweeps only polish
+floating-point error. :func:`project_laplacian` is that single pass;
+:func:`project_delta_sweeps` repeats it until the residual is at most
+tol * ||A||_F.
 """
 
 from dataclasses import dataclass
@@ -13,15 +17,15 @@ from typing import NamedTuple
 import numpy as np
 
 from .config import get_config
-from .errors import PreconditionError
 from .kron_core import (
     LaplacianLike,
     _as_matrix,
     _as_square_matrix,
+    _check_dense_cap,
     _mode_blocks,
     _require_square,
     embed,  # noqa: F401  unused here, but perfbench/tracing.py patches this name
-    lap_to_dense,
+    lap_to_dense,  # noqa: F401  as for embed
     partial_trace,
 )
 
@@ -53,7 +57,7 @@ def mode_projection(a, dims, i: int) -> np.ndarray:
     X_i = (n_i/N) * partial_trace(A, dims, i) minus its own trace part, which
     is (tr(A)/N) * id. It is the unique traceless minimizer of
     ||A' - embed(i, X)||_F for the trace-free part A' of A, and also the
-    update of one mode step in :func:`project_delta_sweeps`.
+    update of one mode step of the projection sweeps.
     """
     a, dims = _as_square_matrix(a, dims)
     dims.check_mode(i)
@@ -63,53 +67,24 @@ def mode_projection(a, dims, i: int) -> np.ndarray:
     return x
 
 
-def project_laplacian(a, dims) -> ProjectionReport:
-    """Closed-form orthogonal projection onto the Laplacian-like subspace."""
-    a, dims = _as_square_matrix(a, dims)
-    alpha = identity_component(a)
-    factors = tuple(mode_projection(a, dims, i) for i in range(dims.d))
-    proj = LaplacianLike(dims, alpha, factors)
-    p = lap_to_dense(proj)
-    p -= a
-    residual = float(np.linalg.norm(p))
-    norm_a = float(np.linalg.norm(a))
-    rel = residual / norm_a if norm_a > 0.0 else 0.0
-    return ProjectionReport(proj, residual, rel, 0, METHOD_CLOSED)
+def _sweep(a, dims, iter_max: int, tol: float):
+    """The projection engine: (projection, residual_fro, relative_residual, sweeps).
 
-
-def project_delta_sweeps(a, dims, iter_max: int = 10, tol: float = 1e-8) -> ProjectionReport:
-    """Cyclic per-mode sweeps toward the traceless part of the projection.
-
-    Requires |tr(A)| <= 1e-10 * N * ||A||_F, a bound relative to the scale of
-    A: callers with a general matrix must subtract identity_component(A) * id
-    first. Within a sweep each mode's update is :func:`mode_projection` of
-    the current residual, the exact traceless least-squares fit, with earlier
-    modes already at this sweep's values. Stops when the residual norm drops
-    below ``tol`` or after ``iter_max`` sweeps.
-
-    Each mode update is subtracted in place on the N * n_i entries that
-    embed(i, u) would make nonzero, so the only N^2 pass per sweep is the
-    residual norm that the ``tol`` stop reads.
+    Copies A once (an N x N materialization, under the dense cap) and works on
+    that copy. Each mode update is subtracted in place on the N * n_i entries
+    that embed(i, u) would make nonzero, so the only N^2 pass per sweep is the
+    residual norm. Stops after ``iter_max`` sweeps or once the residual is at
+    most ``tol * ||A||_F``.
     """
     a, dims = _as_square_matrix(a, dims)
-    if iter_max < 1:
-        raise ValueError("iter_max must be at least 1")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    trace = float(np.trace(a))
+    _check_dense_cap(dims.n)
     norm_a = float(np.linalg.norm(a))
-    bound = 1e-10 * dims.n * norm_a
-    if abs(trace) > bound:
-        raise PreconditionError(
-            f"trace precondition violated: tr(A) = {trace!r} but at most "
-            f"{bound:g} in magnitude is allowed; subtract "
-            "identity_component(A) * id first"
-        )
-    xs = [np.zeros((n, n)) for n in dims.modes]
+    alpha = identity_component(a)
     resid = a.copy()
+    resid.flat[:: dims.n + 1] -= alpha
+    xs = [np.zeros((n, n)) for n in dims.modes]
     sweeps = 0
-    residual = norm_a
-    while sweeps < iter_max:
+    while True:
         for i in range(dims.d):
             u = mode_projection(resid, dims, i)
             xs[i] += u
@@ -117,11 +92,37 @@ def project_delta_sweeps(a, dims, iter_max: int = 10, tol: float = 1e-8) -> Proj
             blocks -= u[:, None, :]
         sweeps += 1
         residual = float(np.linalg.norm(resid))
-        if residual < tol:
+        if sweeps >= iter_max or residual <= tol * norm_a:
             break
-    proj = LaplacianLike(dims, 0.0, tuple(xs))
     rel = residual / norm_a if norm_a > 0.0 else 0.0
-    return ProjectionReport(proj, residual, rel, sweeps, METHOD_ITERATIVE)
+    return LaplacianLike(dims, alpha, tuple(xs)), residual, rel, sweeps
+
+
+def project_laplacian(a, dims) -> ProjectionReport:
+    """Closed-form orthogonal projection onto the Laplacian-like subspace.
+
+    This is one pass of the projection sweeps, which is exact (see the module
+    docstring); it reports ``sweeps_used = 0``.
+    """
+    proj, residual, rel, _ = _sweep(a, dims, 1, 0.0)
+    return ProjectionReport(proj, residual, rel, 0, METHOD_CLOSED)
+
+
+def project_delta_sweeps(a, dims, iter_max: int = 10, tol: float = 1e-8) -> ProjectionReport:
+    """Orthogonal projection of any square A by repeated per-mode sweeps.
+
+    Returns the full projection, alpha = tr(A)/N included. Within a sweep each
+    mode's update is :func:`mode_projection` of the current residual, the
+    exact traceless least-squares fit, with earlier modes already at this
+    sweep's values. Stops once the residual norm is at most ``tol * ||A||_F``
+    or after ``iter_max`` sweeps, so the sweep count does not depend on the
+    scale of A.
+    """
+    if iter_max < 1:
+        raise ValueError("iter_max must be at least 1")
+    if tol <= 0:
+        raise ValueError("tol must be positive")
+    return ProjectionReport(*_sweep(a, dims, iter_max, tol), METHOD_ITERATIVE)
 
 
 class MembershipResult(NamedTuple):

@@ -147,18 +147,22 @@ def dense_exp(a, tol: float = 1e-12) -> np.ndarray:
 def sweeps_by_embed(a, modes, iter_max, tol):
     """Per-mode projection sweeps that subtract each update as a full N x N embed.
 
-    Returns (factors, residual_fro, sweeps_used) with the same floating-point
-    operations per entry as the library's in-place sweeps, so results match
-    bit for bit.
+    Takes alpha = tr(A)/N off the diagonal of a copy first and stops once the
+    residual is at most ``tol * ||A||_F``. Returns (alpha, factors,
+    residual_fro, sweeps_used), canonicalized as ``LaplacianLike`` does, with
+    the same floating-point operations per entry as the library's in-place
+    sweeps, so results match bit for bit.
     """
     a = np.asarray(a, float)
     modes = tuple(modes)
     n = math.prod(modes)
-    xs = [np.zeros((m, m)) for m in modes]
+    norm_a = float(np.linalg.norm(a))
+    alpha = float(np.trace(a)) / n
     resid = a.copy()
-    residual = float(np.linalg.norm(a))
+    resid[np.diag_indices(n)] -= alpha
+    xs = [np.zeros((m, m)) for m in modes]
     sweeps = 0
-    while sweeps < iter_max:
+    while True:
         for i, n_i in enumerate(modes):
             u = (n_i / n) * partial_trace(resid, modes, i)
             u -= (np.trace(u) / n_i) * np.eye(n_i)
@@ -166,11 +170,13 @@ def sweeps_by_embed(a, modes, iter_max, tol):
             resid -= embed(i, u, modes)
         sweeps += 1
         residual = float(np.linalg.norm(resid))
-        if residual < tol:
+        if sweeps >= iter_max or residual <= tol * norm_a:
             break
     for x, n_i in zip(xs, modes):
-        x -= (np.trace(x) / n_i) * np.eye(n_i)
-    return xs, residual, sweeps
+        shift = float(np.trace(x)) / n_i
+        alpha += shift
+        x -= shift * np.eye(n_i)
+    return alpha, xs, residual, sweeps
 
 
 def bandwidths_by_nonzeros(a):

@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import pytest
 
 from kronlap import NumericConfig, default_config, get_config, set_config, use_config
@@ -5,9 +7,10 @@ from kronlap import NumericConfig, default_config, get_config, set_config, use_c
 
 def test_defaults():
     cfg = NumericConfig()
+    assert [f.name for f in fields(cfg)] == ["dense_cap", "membership_tol", "pivot_tol"]
     assert cfg.dense_cap == 4096
-    assert cfg.kron_max_side == 2**20
     assert cfg.membership_tol == 1e-8
+    assert cfg.pivot_tol == 1e-12
 
 
 def test_env_override(monkeypatch):

@@ -270,6 +270,22 @@ class TestDirectSolve:
             direct_solve(a, np.ones(a.shape[0]))
         assert err.value.pivot == 0.0
 
+    @pytest.mark.parametrize("scale", [1.0, 1e-12, 1e-100])
+    @pytest.mark.parametrize(
+        "a, near",
+        [
+            (np.array([[2.0, 1.0], [1.0, 2.0]]), np.array([[1.0, 1.0], [1.0, 1.0 + 1e-15]])),
+            (np.diag([1.0, 2.0, 3.0]), np.diag([1.0, 2.0, 1e-15])),
+        ],
+    )
+    def test_pivot_test_is_relative_to_scale(self, a, near, scale):
+        # dense path for the 2 x 2 pair, band path for the diagonal pair
+        b = np.ones(a.shape[0])
+        x = direct_solve(scale * a, b)
+        np.testing.assert_allclose(scale * x, np.linalg.solve(a, b), rtol=1e-13)
+        with pytest.raises(SingularMatrixError):
+            direct_solve(scale * near, b)
+
     def test_empty_system_is_singular(self):
         with pytest.raises(SingularMatrixError) as err:
             direct_solve(np.zeros((0, 0)), np.zeros(0))
@@ -342,7 +358,7 @@ class TestBandDirectSolve:
                     direct_solve(a, b)
             # same pivot rows, so each |u_ii| differs by rounding only
             assert abs(err.value.pivot - pivots.min()) <= 2 * gamma * lu_norm
-            if pivots.min() <= get_config().pivot_tol * max(pivots.max(), 1.0):
+            if pivots.min() == 0.0 or pivots.min() <= get_config().pivot_tol * pivots.max():
                 with pytest.raises(SingularMatrixError):
                     direct_solve(a, b)
             else:

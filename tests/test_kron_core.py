@@ -67,9 +67,15 @@ class TestKron:
         np.testing.assert_allclose(kron(a, b), kron_by_index_formula(a, b), rtol=0, atol=0)
 
     def test_size_limit(self):
-        with use_config(kron_max_side=5):
+        # the budget is dense_cap^2 entries, whatever the result's shape
+        with use_config(dense_cap=5):
             with pytest.raises(SizeLimitError):
                 kron(np.eye(2), np.eye(3))
+        with use_config(dense_cap=6):
+            assert kron(np.eye(2), np.eye(3)).shape == (6, 6)
+            assert kron(np.ones((1, 4)), np.ones((1, 9))).shape == (1, 36)
+            with pytest.raises(SizeLimitError):
+                kron(np.ones((1, 4)), np.ones((1, 10)))
 
     @pytest.mark.parametrize("seed", range(3))
     def test_algebraic_identities(self, seed):
@@ -427,6 +433,13 @@ class TestFactorGroupElement:
         with use_config(pivot_tol=0.0), pytest.raises(SingularMatrixError, match="factor 1") as err:
             FactorGroupElement((2, 2), (np.eye(2), np.array([[1.0, 2.0], [2.0, 4.0]])))
         assert err.value.pivot == 0.0
+
+    @pytest.mark.parametrize("scale", [1.0, 1e-12, 1e-100])
+    def test_pivot_test_is_relative_to_scale(self, scale):
+        g = FactorGroupElement((2, 2), (scale * np.eye(2), np.eye(2)))
+        np.testing.assert_array_equal(g.factors[0], scale * np.eye(2))
+        with pytest.raises(SingularMatrixError, match="factor 0"):
+            FactorGroupElement((2, 2), (scale * np.diag([1.0, 1e-15]), np.eye(2)))
 
     def test_kron_inverse_property(self):
         rng = np.random.default_rng(8)

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from kronlap import (
     LaplacianLike,
-    PreconditionError,
     embed,
     frobenius_inner,
     identity_component,
@@ -197,18 +196,24 @@ class TestSweeps:
         assert residuals[0] >= residuals[1] - 1e-12
         assert residuals[1] >= residuals[2] - 1e-12
 
-    def test_trace_precondition(self):
-        with pytest.raises(PreconditionError, match="6.0"):
-            project_delta_sweeps(np.eye(6), (2, 3))
+    def test_identity_input_gives_alpha(self):
+        rep = project_delta_sweeps(np.eye(6), (2, 3))
+        assert rep.projection.alpha == 1.0
+        assert rep.residual_fro == 0.0
+        assert rep.sweeps_used == 1
+        for f in rep.projection.factors:
+            np.testing.assert_array_equal(f, np.zeros_like(f))
 
-    def test_trace_precondition_is_relative_to_scale(self):
+    def test_any_trace_gives_alpha_at_any_scale(self):
         rng = np.random.default_rng(15)
         a = 1e8 * rng.standard_normal((64, 64))
-        a.flat[::65] -= np.trace(a) / 64  # the shift `decompose --method iterative` applies
-        assert project_delta_sweeps(a, (4, 4, 4)).sweeps_used >= 1
         near_identity = 1e-12 * (np.eye(6) + 1e-3 * rng.standard_normal((6, 6)))
-        with pytest.raises(PreconditionError):
-            project_delta_sweeps(near_identity, (2, 3))
+        for m, modes in ((a, (4, 4, 4)), (near_identity, (2, 3))):
+            n = m.shape[0]
+            rep = project_delta_sweeps(m, modes)
+            assert rep.sweeps_used >= 1
+            rounding = 4 * (n + len(modes)) * np.finfo(float).eps
+            assert abs(rep.projection.alpha - np.trace(m) / n) <= rounding * np.linalg.norm(m)
 
 
 class TestProjectionScaleInvariance:
@@ -233,6 +238,33 @@ class TestProjectionScaleInvariance:
             assert np.linalg.norm(x - s * y) <= bound
         assert abs(scaled.relative_residual - base.relative_residual) <= rounding
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        modes=st.lists(st.integers(2, 4), min_size=1, max_size=4),
+        k=st.integers(-12, 12),
+        seed=st.integers(0, 2**32 - 1),
+        near_member=st.booleans(),
+        fortran=st.booleans(),
+    )
+    def test_sweeps_scale_with_input(self, modes, k, seed, near_member, fortran):
+        s = 10.0 ** k
+        n = int(np.prod(modes))
+        rng = np.random.default_rng(seed)
+        a = rng.standard_normal((n, n))  # any trace: the sweeps take alpha off themselves
+        if near_member:
+            a = lap_to_dense(random_laplacian_like(modes, rng)) + 1e-9 * a
+        layout = np.asfortranarray if fortran else np.ascontiguousarray
+        base = project_delta_sweeps(layout(a), modes, tol=1e-8)
+        scaled = project_delta_sweeps(layout(s * a), modes, tol=1e-8)
+        assert scaled.sweeps_used == base.sweeps_used
+        one = project_delta_sweeps(layout(s * a), modes, iter_max=1)
+        closed = project_laplacian(s * a, modes)
+        rounding = 4 * (n + len(modes)) * np.finfo(float).eps
+        bound = rounding * s * np.linalg.norm(a)
+        assert abs(one.projection.alpha - closed.projection.alpha) <= bound
+        for x, y in zip(one.projection.factors, closed.projection.factors):
+            assert np.linalg.norm(x - y) <= bound
+
 
 class TestSweepsMatchEmbedOracle:
     """The in-place sweeps do the embed-based sweeps' arithmetic, entry for entry."""
@@ -252,12 +284,12 @@ class TestSweepsMatchEmbedOracle:
         a = rng.standard_normal((n, n))
         if near_member:
             a = lap_to_dense(random_laplacian_like(modes, rng)) + 1e-9 * a
-        a -= np.trace(a) / n * np.eye(n)
         given_a = np.asfortranarray(a) if fortran else a
         rep = project_delta_sweeps(given_a, modes, iter_max=iter_max, tol=tol)
-        factors, residual, sweeps = sweeps_by_embed(a, modes, iter_max, tol)
+        alpha, factors, residual, sweeps = sweeps_by_embed(a, modes, iter_max, tol)
         assert rep.sweeps_used == sweeps
         assert rep.residual_fro == residual
+        assert rep.projection.alpha == alpha
         for got, want in zip(rep.projection.factors, factors):
             assert got.tobytes() == want.tobytes()
 
