@@ -14,7 +14,7 @@ from functools import reduce
 
 import numpy as np
 import scipy.linalg
-from scipy.linalg.lapack import dgbtrf, dgbtrs, dpocon, dpotrf, dpotrs
+from scipy.linalg.lapack import dgbtrf, dgbtrs, dgelsy, dgeqrf, dorgqr
 
 from .kron_core import (
     DimSplit,
@@ -33,11 +33,6 @@ from .kron_core import (
 RESIDUAL_BELOW_EPS = "residual_below_eps"
 STAGNATION = "stagnation"
 RANK_MAX_REACHED = "rank_max_reached"
-
-# Reciprocal condition (1-norm estimate) below which a structured mode step
-# leaves the Cholesky solve of its normal equations for least squares. The
-# Gram matrix squares the mode matrix's condition, so this means about 1e4 there.
-_GRAM_RCOND_MIN = 1e-8
 
 
 @dataclass(eq=False)
@@ -135,7 +130,8 @@ class GrouReport:
     """Solve outcome: estimate, per-iteration residual norms, and stop reason.
 
     ``rank_deficient_terms`` counts the accepted terms whose ALS fit met a
-    rank-deficient mode matrix (see :func:`als_rank_one`).
+    mode matrix of numerical rank below n_k, by one rule on both operator
+    kinds (see :func:`als_rank_one`).
     """
 
     x: np.ndarray
@@ -175,29 +171,31 @@ def _mode_weights(factors, images, k: int):
     return w.reshape(-1), s.reshape(-1)
 
 
+def _lstsq(a, b, n: int):
+    """Min-norm least squares by pivoted QR, rank cut at condition 1/(eps*n): (x, deficient)."""
+    n_k = a.shape[1]
+    cond = np.finfo(float).eps * n
+    x, _, rank = dgelsy(a, b[:, None], np.zeros(n_k, np.int32), cond, 4 * n_k + 1)[1:4]
+    return x[:n_k, 0], bool(rank < n_k)
+
+
 def _structured_step(c, w, s, r_k):
     """Minimize ||r_k - (C y) w^T - y s^T||_F over y, the structured mode step.
 
-    ``r_k`` is the residual with mode k moved first, shape (n_k, N / n_k).
-    Solves the n_k x n_k normal equations by Cholesky, or falls back to
-    least squares on the explicit two-term mode matrix when the Gram matrix
-    is not safely positive definite. Returns (y, objective, rank_deficient).
+    ``r_k`` is the residual with mode k moved first, shape (n_k, N / n_k). The
+    mode matrix is ([w s] (x) I)[C; I]. With the thin QR [w s] = QR, Q (x) I
+    has orthonormal columns, so the least-squares problem on (R (x) I)[C; I] =
+    [R00 C + R01 I; R11 I] (one block row when N / n_k = 1) against r_k Q has
+    the same solutions and singular values. Returns (y, objective, rank_deficient).
     """
     n_k = c.shape[0]
-    ws = np.stack([w, s])
-    inner = ws @ ws.T
-    proj = r_k @ ws.T
-    gram = inner[0, 0] * (c.T @ c) + inner[0, 1] * (c + c.T) + inner[1, 1] * np.eye(n_k)
-    chol, info = dpotrf(gram)
-    anorm = np.abs(gram).sum(axis=0).max()
-    if info == 0 and dpocon(chol, anorm)[0] > _GRAM_RCOND_MIN:
-        sol = dpotrs(chol, c.T @ proj[:, 0] + proj[:, 1])[0]
-        deficient = False
-    else:
-        eye = np.eye(n_k)
-        m = (c[:, None, :] * w[None, :, None] + eye[:, None, :] * s[None, :, None]).reshape(-1, n_k)
-        sol, _, rank, _ = np.linalg.lstsq(m, r_k.reshape(-1), rcond=None)
-        deficient = bool(rank < n_k)
+    ws = np.array([w, s])
+    qr, tau = dgeqrf(ws.T)[:2]
+    q = dorgqr(qr[:, :tau.size], tau)[0]
+    r = qr[:tau.size]
+    r[1:, 0] = 0.0  # the Householder vector, below R's diagonal
+    small = (r[:, :1, None] * c + r[:, 1:, None] * np.eye(n_k)).reshape(-1, n_k)
+    sol, deficient = _lstsq(small, (r_k @ q).T.reshape(-1), w.size * n_k)
     objective = float(np.linalg.norm(r_k - np.column_stack([c @ sol, sol]) @ ws))
     return sol, objective, deficient
 
@@ -207,8 +205,8 @@ def _dense_step(a, w, r, dims: DimSplit, k: int):
     n_k = dims.modes[k]
     w = w.reshape(dims.left_size(k), 1, dims.right_size(k), 1)
     m = a @ (w * np.eye(n_k)[None, :, None, :]).reshape(dims.n, n_k)
-    sol, _, rank, _ = np.linalg.lstsq(m, r, rcond=None)
-    return sol, float(np.linalg.norm(r - m @ sol)), bool(rank < n_k)
+    sol, deficient = _lstsq(m, r, dims.n)
+    return sol, float(np.linalg.norm(r - m @ sol)), deficient
 
 
 def als_rank_one(op: LinearOperator, r, iter_max: int = 15, seed: int = 0) -> RankOneVector:
@@ -221,20 +219,19 @@ def als_rank_one(op: LinearOperator, r, iter_max: int = 15, seed: int = 0) -> Ra
 
     A structured operator never applies A inside the fit: its mode matrix has
     the two-term form w0 (x)_k C_k + s (x)_k I (see :func:`_mode_weights`), so
-    a mode step costs O(d*N + n_k^3). The n_k x n_k normal equations are
-    solved by Cholesky; when the factorization fails or the Gram matrix's
-    estimated reciprocal condition number is at most 1e-8, the step falls
-    back to ``lstsq`` on the explicit N x n_k two-term matrix. A dense
-    operator builds its mode matrix with one product A (w0 (x)_k I) and
-    always uses ``lstsq``. ``lstsq`` returns the minimum-norm solution; when
-    it finds a mode matrix of lower rank than n_k the result is flagged
-    ``rank_deficient``. The objective is computed from the residual itself,
-    not from the normal equations, which would cancel below the stopping rule.
+    a mode step costs O(d*N + n_k^3): a thin QR of [w0 s] reduces it to a
+    2n_k x n_k matrix with the same singular values. A dense operator builds
+    its mode matrix as A (w0 (x)_k I). Both steps take the minimum-norm
+    solution by pivoted QR with the rank cutoff eps * N, and a lower rank
+    flags ``rank_deficient``. The objective is computed from the residual
+    itself; ||r||^2 - ||r_k Q||^2 would cancel below the stopping rule.
+    A non-finite residual raises ValueError.
     """
     if iter_max < 1:
         raise ValueError("iter_max must be at least 1")
     dims = op.dims
     r = _as_vector(r, dims.n, "residual")
+    _require_finite(r, "residual")
     r_norm = float(np.linalg.norm(r))
     if r_norm == 0.0:
         return RankOneVector.zeros(dims)

@@ -4,7 +4,8 @@ Most of these deliberately avoid the library's own code paths: Kronecker
 products by the index formula, partial traces by explicit multi-index loops,
 projections by solving the normal equations over an explicit basis, the
 matrix exponential by a truncated power series, and linear solves by scipy's
-dense pivoted LU with no band storage. The exception is
+dense pivoted LU with no band storage, and the structured ALS mode matrix
+as an explicit Kronecker sum. The exception is
 `sweeps_by_embed`, the projection sweeps written with the library's full
 N x N `embed`, kept as a bit-exact reference for the in-place sweeps.
 """
@@ -198,3 +199,14 @@ def lu_by_dense_factor(a, b):
     lower = np.tril(lu, -1) + np.eye(a.shape[0])
     lu_norm = np.linalg.norm(np.abs(lower) @ np.abs(np.triu(lu)), np.inf)
     return x, np.abs(np.diag(lu)), lu_norm
+
+
+def mode_matrix_by_kron(c, w, s):
+    """The N x n_k structured mode matrix w (x) C + s (x) I, built explicitly.
+
+    Row (i, j) holds C[i, :] w[j] + e_i s[j], matching the residual's mode-k
+    unfolding r_k (n_k x N / n_k) read row by row.
+    """
+    c = np.asarray(c, float)
+    column = lambda v: np.asarray(v, float).reshape(-1, 1)  # noqa: E731
+    return np.kron(c, column(w)) + np.kron(np.eye(c.shape[0]), column(s))

@@ -24,7 +24,7 @@ from kronlap import (
 )
 
 from conftest import LAYOUTS, random_laplacian_like
-from oracles import bandwidths_by_nonzeros, lu_by_dense_factor
+from oracles import bandwidths_by_nonzeros, lu_by_dense_factor, mode_matrix_by_kron
 
 # the package's `grou` attribute is the solver function, which hides the module
 grou_module = importlib.import_module("kronlap.grou")
@@ -100,6 +100,16 @@ class TestAlsRankOne:
         r = rng.standard_normal(12)
         y = als_rank_one(op, r, iter_max=5, seed=0)
         assert np.linalg.norm(r - op.apply(y.to_vector())) <= np.linalg.norm(r) + 1e-12
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_residual_rejected(self, bad):
+        rng = np.random.default_rng(10)
+        lap = random_laplacian_like((2, 3), rng, alpha=5.0)
+        r = rng.standard_normal(6)
+        r[4] = bad
+        for op in (LinearOperator.from_laplacian(lap), dense_twin(lap)):
+            with pytest.raises(ValueError, match="residual contains non-finite entries"):
+                als_rank_one(op, r)
 
     def test_rank_deficient_flag(self):
         # operator that annihilates everything in mode 1 except e0 direction
@@ -186,23 +196,14 @@ class TestStructuredModeStep:
         assert rep.terms_used == 0
         np.testing.assert_array_equal(rep.x, np.zeros(6))
 
-    def test_ill_conditioned_falls_back_and_matches_dense(self, monkeypatch):
+    def test_ill_conditioned_matches_dense(self):
         # A_1 = 0 makes the mode-0 matrix w0 (x) C_0 with cond(C_0) = 2e10
         lap = LaplacianLike.from_factors(
             (2, 3), [np.diag([1.0, -1.0]), np.zeros((3, 3))], alpha=1.0 + 1e-10
         )
         assert np.linalg.cond(lap_to_dense(lap)) > 1e9
         b = np.kron([1.0, 0.0], np.random.default_rng(0).standard_normal(3))
-        calls = []
-        lstsq = np.linalg.lstsq
-
-        def spy(*args, **kwargs):
-            calls.append(1)
-            return lstsq(*args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "lstsq", spy)
         rep_struct = grou(LinearOperator.from_laplacian(lap), b, seed=2)
-        assert calls, "the structured path never left the Cholesky solve"
         rep_dense = grou(dense_twin(lap), b, seed=2)
         assert rep_struct.terms_used == rep_dense.terms_used
         np.testing.assert_allclose(
@@ -233,6 +234,66 @@ class TestStructuredModeStep:
         assert rep.terms_used == 1
         ref = direct_solve(lap_to_dense(problem.operator), problem.rhs)
         assert np.linalg.norm(rep.x - ref) <= 1e-10 * np.linalg.norm(ref)
+        # N = 32768 is above the dense cap, so only the residual is checked
+        problem = build_poisson(32)
+        assert problem.operator.n > get_config().dense_cap
+        rep = grou(LinearOperator.from_laplacian(problem.operator), problem.rhs, rank_max=1)
+        assert rep.terms_used == 1
+        assert rep.residual_history[-1] <= 1e-13 * rep.residual_history[0]
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        modes=st.lists(st.integers(1, 4), min_size=1, max_size=4),
+        data=st.data(),
+        with_s=st.booleans(),
+        singular=st.booleans(),
+        shrink=st.integers(0, 8),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_step_matches_lstsq_oracle(self, modes, data, with_s, singular, shrink, seed):
+        k = data.draw(st.integers(0, len(modes) - 1), label="k")
+        rng = np.random.default_rng(seed)
+        n_k, n = modes[k], int(np.prod(modes))
+        c = rng.standard_normal((n_k, n_k))
+        c[:, 0] *= 10.0**-shrink  # cond(C) past 1e8, still far from the cutoff 1 / (eps N)
+        if singular:  # zero columns make w (x) C, with s = 0, exactly rank deficient
+            c[:, rng.permutation(n_k)[: rng.integers(1, n_k + 1)]] = 0.0
+        factors = [rng.standard_normal(m) for m in modes]
+        images = [
+            rng.standard_normal((m, m)) @ y if with_s else np.zeros(m)
+            for m, y in zip(modes, factors)
+        ]
+        w, s = grou_module._mode_weights(factors, images, k)
+        r_k = rng.standard_normal((n_k, n // n_k))
+        sol, objective, deficient = grou_module._structured_step(c, w, s, r_k)
+
+        m = mode_matrix_by_kron(c, w, s)
+        ref, _, rank, sigma = np.linalg.lstsq(m, r_k.reshape(-1), rcond=None)
+        ref_objective = np.linalg.norm(r_k.reshape(-1) - m @ ref)
+        assert deficient == (rank < n_k)
+        if singular and not (with_s and len(modes) > 1):
+            assert deficient
+        # Both routes are backward stable: each solves a problem whose matrix
+        # is off by at most d_m = gamma ||[w s]|| ||[C; I]|| and whose
+        # right-hand side by d_b = gamma ||r_k||. Over the kept singular values
+        # its solution then lies within (d_b + d_m ||x||) / sigma_r +
+        # d_m ||res|| / sigma_r^2 of the exact one, to first order (Higham,
+        # Accuracy and Stability, Thm 20.1); d_m <= sigma_r / 4 keeps the
+        # higher-order terms below that first-order bound.
+        gamma = 10 * n * n_k * np.finfo(float).eps
+        d_m = gamma * np.linalg.norm([w, s]) * np.linalg.norm(np.vstack([c, np.eye(n_k)]))
+        d_b = gamma * np.linalg.norm(r_k)
+        x_norm = np.linalg.norm(ref)
+        if rank == 0:
+            np.testing.assert_array_equal(sol, 0.0)
+            bound = 0.0
+        else:
+            sigma_r = sigma[rank - 1]
+            assert d_m <= 0.25 * sigma_r
+            bound = 2 * ((d_b + d_m * x_norm) / sigma_r + d_m * ref_objective / sigma_r**2)
+            assert np.linalg.norm(sol - ref) <= 2 * bound  # each route within `bound`
+        # objective: ||M|| ||sol - ref|| plus the rounding of each residual evaluation
+        assert abs(objective - ref_objective) <= sigma[0] * 2 * bound + 2 * (d_b + d_m * x_norm)
 
 
 class TestDirectSolve:
