@@ -56,7 +56,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--iter-max", type=int, default=10)
     p.add_argument("--tol", type=float, default=1e-8,
                    help="relative threshold: membership, and the iterative sweeps "
-                   "stop once the residual is at most tol * ||A||_F")
+                   "stop once the residual, or a later sweep's change, is at most "
+                   "tol * ||A||_F")
     p.add_argument("--output", required=True, help="JSON report path")
 
     p = sub.add_parser("solve", help="solve A x = b")

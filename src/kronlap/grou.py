@@ -13,8 +13,6 @@ from dataclasses import dataclass, field
 from functools import reduce
 
 import numpy as np
-import scipy.linalg
-from scipy.linalg.lapack import dgbtrf, dgbtrs, dgelsy, dgeqrf, dorgqr
 
 from .kron_core import (
     DimSplit,
@@ -24,6 +22,7 @@ from .kron_core import (
     _as_square_matrix,
     _as_vector,
     _check_dense_cap,
+    _linalg,
     _require_finite,
     _require_nonsingular,
     _require_square,
@@ -175,6 +174,7 @@ def _lstsq(a, b, n: int):
     """Min-norm least squares by pivoted QR, rank cut at condition 1/(eps*n): (x, deficient)."""
     n_k = a.shape[1]
     cond = np.finfo(float).eps * n
+    dgelsy = _linalg().lapack.dgelsy
     x, _, rank = dgelsy(a, b[:, None], np.zeros(n_k, np.int32), cond, 4 * n_k + 1)[1:4]
     return x[:n_k, 0], bool(rank < n_k)
 
@@ -189,9 +189,10 @@ def _structured_step(c, w, s, r_k):
     the same solutions and singular values. Returns (y, objective, rank_deficient).
     """
     n_k = c.shape[0]
+    lapack = _linalg().lapack
     ws = np.array([w, s])
-    qr, tau = dgeqrf(ws.T)[:2]
-    q = dorgqr(qr[:, :tau.size], tau)[0]
+    qr, tau = lapack.dgeqrf(ws.T)[:2]
+    q = lapack.dorgqr(qr[:, :tau.size], tau)[0]
     r = qr[:tau.size]
     r[1:, 0] = 0.0  # the Householder vector, below R's diagonal
     small = (r[:, :1, None] * c + r[:, 1:, None] * np.eye(n_k)).reshape(-1, n_k)
@@ -340,7 +341,7 @@ def _band_lu(a, kl: int, ku: int):
     ab = np.zeros((2 * kl + ku + 1, n), order="F")
     for d in range(-kl, ku + 1):
         ab[kl + ku - d, max(d, 0): n + min(d, 0)] = np.diagonal(a, d)
-    lu, piv, _ = dgbtrf(ab, kl, ku, overwrite_ab=True)
+    lu, piv, _ = _linalg().lapack.dgbtrf(ab, kl, ku, overwrite_ab=True)
     return lu, piv
 
 
@@ -364,7 +365,8 @@ def direct_solve(a, b) -> np.ndarray:
     _check_dense_cap(n, "direct solve")
     b = _as_vector(b, n, "right-hand side")
     _require_finite(b, "right-hand side")
-    kl, ku = scipy.linalg.bandwidth(a)
+    linalg = _linalg()
+    kl, ku = linalg.bandwidth(a)
     # band storage then takes no more memory than lu_factor's copy of a; at
     # that width dgbtrf took 0.64-0.71x the time of lu_factor (N = 1024-4096)
     band = 2 * kl + ku + 1 <= n
@@ -373,10 +375,10 @@ def direct_solve(a, b) -> np.ndarray:
         diag = lu[kl + ku]
     else:
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-            lu, piv = scipy.linalg.lu_factor(a, check_finite=False)
+            warnings.simplefilter("ignore", linalg.LinAlgWarning)
+            lu, piv = linalg.lu_factor(a, check_finite=False)
         diag = np.diag(lu)
     _require_nonsingular(diag, "matrix")
     if band:
-        return dgbtrs(lu, kl, ku, b, piv)[0]
-    return scipy.linalg.lu_solve((lu, piv), b, check_finite=False)
+        return linalg.lapack.dgbtrs(lu, kl, ku, b, piv)[0]
+    return linalg.lu_solve((lu, piv), b, check_finite=False)

@@ -9,14 +9,27 @@ Mode indices are 0-based throughout.
 import math
 import warnings
 from dataclasses import dataclass
-from functools import reduce
+from functools import cache, reduce
 
 import numpy as np
-import scipy.linalg
 from numpy.lib.stride_tricks import as_strided
 
 from .config import get_config
 from .errors import SingularMatrixError, SizeLimitError
+
+
+@cache
+def _linalg():
+    """``scipy.linalg``, imported on first use.
+
+    Only the LAPACK callers (the ALS steps, ``direct_solve``,
+    ``FactorGroupElement`` and ``lap_exp``) need it, so ``import kronlap`` and
+    the projection do not pay its start-up cost. The cached call is cheap
+    enough for the ALS inner loop; a function-local import is not.
+    """
+    import scipy.linalg
+
+    return scipy.linalg
 
 
 def _as_matrix(a, name="matrix") -> np.ndarray:
@@ -307,13 +320,14 @@ class FactorGroupElement:
         factors = tuple(np.array(f, dtype=float) for f in self.factors)
         if len(factors) != dims.d:
             raise ValueError(f"expected {dims.d} factors, got {len(factors)}")
+        linalg = _linalg()
         for i, (f, n_i) in enumerate(zip(factors, dims.modes)):
             if f.shape != (n_i, n_i):
                 raise ValueError(f"factor {i} must be {n_i}x{n_i}, got {f.shape}")
             _require_finite(f, f"factor {i}")
             with warnings.catch_warnings():
-                warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-                lu, _ = scipy.linalg.lu_factor(f)
+                warnings.simplefilter("ignore", linalg.LinAlgWarning)
+                lu, _ = linalg.lu_factor(f)
             _require_nonsingular(np.diag(lu), f"factor {i}")
             f.flags.writeable = False
         object.__setattr__(self, "factors", factors)
@@ -329,7 +343,7 @@ def lap_exp(lap: LaplacianLike) -> FactorGroupElement:
     All the summands commute, so exp(alpha*id + sum_i embed(A_i)) factors as
     e^alpha * kron_i exp(A_i); the scalar e^alpha is folded into factor 0.
     """
-    facs = [scipy.linalg.expm(np.asarray(f)) for f in lap.factors]
+    facs = [_linalg().expm(np.asarray(f)) for f in lap.factors]
     facs[0] = math.exp(lap.alpha) * facs[0]
     return FactorGroupElement(lap.dims, tuple(facs))
 

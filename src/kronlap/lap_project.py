@@ -7,10 +7,12 @@ the per-mode traceless subspaces are mutually orthogonal, so fitting one of
 them leaves every other one's fit unchanged: a single pass of this sweep is
 already the closed-form projection, and further sweeps only polish
 floating-point error. :func:`project_laplacian` is that single pass;
-:func:`project_delta_sweeps` repeats it until the residual is at most
+:func:`project_delta_sweeps` repeats it until the residual, or from the
+second sweep on the sweep's change to the projection, is at most
 tol * ||A||_F.
 """
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -73,8 +75,14 @@ def _sweep(a, dims, iter_max: int, tol: float):
     Copies A once (an N x N materialization, under the dense cap) and works on
     that copy. Each mode update is subtracted in place on the N * n_i entries
     that embed(i, u) would make nonzero, so the only N^2 pass per sweep is the
-    residual norm. Stops after ``iter_max`` sweeps or once the residual is at
-    most ``tol * ||A||_F``.
+    residual norm. Stops after ``iter_max`` sweeps, once the residual is at
+    most ``tol * ||A||_F``, or, from the second sweep on, once the sweep's
+    change to the projection is at most that too. The change is
+    ||sum_i embed(i, u_i)||_F over the sweep's traceless updates u_i; those
+    embeds are mutually orthogonal and embed(i, u) repeats each entry of u
+    N / n_i times, so it equals sqrt(sum_i (N / n_i) ||u_i||_F^2). On a
+    non-member the first sweep is already exact and the second moves the
+    factors only by rounding.
     """
     a, dims = _as_square_matrix(a, dims)
     _check_dense_cap(dims.n)
@@ -85,14 +93,18 @@ def _sweep(a, dims, iter_max: int, tol: float):
     xs = [np.zeros((n, n)) for n in dims.modes]
     sweeps = 0
     while True:
-        for i in range(dims.d):
+        change_sq = 0.0
+        for i, n_i in enumerate(dims.modes):
             u = mode_projection(resid, dims, i)
             xs[i] += u
             blocks = _mode_blocks(resid, dims, i)
             blocks -= u[:, None, :]
+            change_sq += dims.n // n_i * float(np.vdot(u, u))
         sweeps += 1
         residual = float(np.linalg.norm(resid))
         if sweeps >= iter_max or residual <= tol * norm_a:
+            break
+        if sweeps > 1 and math.sqrt(change_sq) <= tol * norm_a:
             break
     rel = residual / norm_a if norm_a > 0.0 else 0.0
     return LaplacianLike(dims, alpha, tuple(xs)), residual, rel, sweeps
@@ -114,9 +126,11 @@ def project_delta_sweeps(a, dims, iter_max: int = 10, tol: float = 1e-8) -> Proj
     Returns the full projection, alpha = tr(A)/N included. Within a sweep each
     mode's update is :func:`mode_projection` of the current residual, the
     exact traceless least-squares fit, with earlier modes already at this
-    sweep's values. Stops once the residual norm is at most ``tol * ||A||_F``
-    or after ``iter_max`` sweeps, so the sweep count does not depend on the
-    scale of A.
+    sweep's values. Stops once the residual norm is at most ``tol * ||A||_F``,
+    once a sweep after the first changes the projection by at most
+    ``tol * ||A||_F`` in Frobenius norm, or after ``iter_max`` sweeps, so the
+    sweep count does not depend on the scale of A. A member stops after one
+    sweep; a non-member, whose first sweep is already exact, after two.
     """
     if iter_max < 1:
         raise ValueError("iter_max must be at least 1")

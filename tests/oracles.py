@@ -149,10 +149,12 @@ def sweeps_by_embed(a, modes, iter_max, tol):
     """Per-mode projection sweeps that subtract each update as a full N x N embed.
 
     Takes alpha = tr(A)/N off the diagonal of a copy first and stops once the
-    residual is at most ``tol * ||A||_F``. Returns (alpha, factors,
-    residual_fro, sweeps_used), canonicalized as ``LaplacianLike`` does, with
-    the same floating-point operations per entry as the library's in-place
-    sweeps, so results match bit for bit.
+    residual, or from the second sweep on the norm of the sweep's summed
+    embedded updates, is at most ``tol * ||A||_F``. Returns (alpha, factors,
+    residual_fro, sweeps_used, changes), canonicalized as ``LaplacianLike``
+    does, with the same floating-point operations per entry as the library's
+    in-place sweeps, so results match bit for bit; ``changes`` lists each
+    sweep's ||sum_i embed(i, u_i)||_F.
     """
     a = np.asarray(a, float)
     modes = tuple(modes)
@@ -163,21 +165,28 @@ def sweeps_by_embed(a, modes, iter_max, tol):
     resid[np.diag_indices(n)] -= alpha
     xs = [np.zeros((m, m)) for m in modes]
     sweeps = 0
+    changes = []
     while True:
+        change = np.zeros((n, n))
         for i, n_i in enumerate(modes):
             u = (n_i / n) * partial_trace(resid, modes, i)
             u -= (np.trace(u) / n_i) * np.eye(n_i)
             xs[i] += u
-            resid -= embed(i, u, modes)
+            step = embed(i, u, modes)
+            resid -= step
+            change += step
         sweeps += 1
+        changes.append(float(np.linalg.norm(change)))
         residual = float(np.linalg.norm(resid))
         if sweeps >= iter_max or residual <= tol * norm_a:
+            break
+        if sweeps > 1 and changes[-1] <= tol * norm_a:
             break
     for x, n_i in zip(xs, modes):
         shift = float(np.trace(x)) / n_i
         alpha += shift
         x -= shift * np.eye(n_i)
-    return alpha, xs, residual, sweeps
+    return alpha, xs, residual, sweeps, changes
 
 
 def bandwidths_by_nonzeros(a):

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,8 +26,36 @@ REPORT_KEYS = {
 }
 
 
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+# gen and decompose never factor a matrix, so they must not load scipy; the
+# solve afterwards must, or the first check would pass on a broken probe
+COLD_START = """
+import sys
+import kronlap, kronlap.cli
+
+def run(*argv):
+    assert kronlap.cli.main(list(argv)) == 0, argv
+
+run("gen", "--kind", "poisson", "--n", "4", "--output", "p")
+for method in ("closed", "iterative"):
+    run("decompose", "--input", "p_A.mtx", "--dims", "4,4,4", "--method", method,
+        "--output", method + ".json")
+assert "scipy" not in sys.modules
+run("solve", "--matrix", "p_A.mtx", "--rhs", "p_b.mtx", "--dims", "4,4,4", "--output", "x.mtx")
+assert "scipy.linalg" in sys.modules
+"""
+
+
 def run(*argv):
     return main(list(argv))
+
+
+def test_cold_start_loads_scipy_only_to_solve(tmp_path):
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    out = subprocess.run([sys.executable, "-c", COLD_START], cwd=tmp_path, env=env,
+                         capture_output=True, text=True, timeout=300)
+    assert out.returncode == 0, out.stderr
 
 
 class TestDecompose:

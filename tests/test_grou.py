@@ -374,7 +374,7 @@ class TestDirectSolve:
 def spy_factorizations(mp):
     """Record each band (kl, ku) or dense LU that direct_solve runs."""
     calls = []
-    band, dense = grou_module.dgbtrf, scipy.linalg.lu_factor
+    band, dense = scipy.linalg.lapack.dgbtrf, scipy.linalg.lu_factor
 
     def band_spy(ab, kl, ku, **kwargs):
         calls.append(("band", kl, ku))
@@ -384,7 +384,7 @@ def spy_factorizations(mp):
         calls.append(("dense",))
         return dense(a, **kwargs)
 
-    mp.setattr(grou_module, "dgbtrf", band_spy)
+    mp.setattr(scipy.linalg.lapack, "dgbtrf", band_spy)
     mp.setattr(scipy.linalg, "lu_factor", dense_spy)
     return calls
 

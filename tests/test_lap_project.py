@@ -196,6 +196,26 @@ class TestSweeps:
         assert residuals[0] >= residuals[1] - 1e-12
         assert residuals[1] >= residuals[2] - 1e-12
 
+    def test_non_member_stops_after_the_rounding_sweep(self):
+        # sweep 1 is exact, so sweep 2 changes the projection by rounding only
+        rng = np.random.default_rng(16)
+        a = rng.standard_normal((24, 24))
+        member = lap_to_dense(random_laplacian_like((2, 3, 4), rng))
+        for k in range(-12, 7):
+            s = 10.0 ** k
+            assert project_delta_sweeps(s * a, (2, 3, 4)).sweeps_used == 2
+            assert project_delta_sweeps(s * member, (2, 3, 4)).sweeps_used == 1
+
+    def test_change_stop_is_the_sweeps_frobenius_change(self):
+        rng = np.random.default_rng(17)
+        a = rng.standard_normal((24, 24))
+        change = sweeps_by_embed(a, (2, 3, 4), 2, 1e-300)[4][1]
+        assert change > 0.0
+        tol = change / np.linalg.norm(a)
+        above = project_delta_sweeps(a, (2, 3, 4), iter_max=3, tol=(1 + 1e-6) * tol)
+        below = project_delta_sweeps(a, (2, 3, 4), iter_max=3, tol=(1 - 1e-6) * tol)
+        assert (above.sweeps_used, below.sweeps_used) == (2, 3)
+
     def test_identity_input_gives_alpha(self):
         rep = project_delta_sweeps(np.eye(6), (2, 3))
         assert rep.projection.alpha == 1.0
@@ -286,7 +306,7 @@ class TestSweepsMatchEmbedOracle:
             a = lap_to_dense(random_laplacian_like(modes, rng)) + 1e-9 * a
         given_a = np.asfortranarray(a) if fortran else a
         rep = project_delta_sweeps(given_a, modes, iter_max=iter_max, tol=tol)
-        alpha, factors, residual, sweeps = sweeps_by_embed(a, modes, iter_max, tol)
+        alpha, factors, residual, sweeps, _ = sweeps_by_embed(a, modes, iter_max, tol)
         assert rep.sweeps_used == sweeps
         assert rep.residual_fro == residual
         assert rep.projection.alpha == alpha
