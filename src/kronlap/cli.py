@@ -213,10 +213,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return _DISPATCH[args.command](args)
-    except MatrixMarketError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except OSError as exc:
+    except (MatrixMarketError, OSError) as exc:  # before ValueError: MatrixMarketError is one
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     except SingularMatrixError as exc:

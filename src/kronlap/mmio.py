@@ -2,14 +2,16 @@
 
 Supports the real-valued subset used by the CLI: ``array`` and ``coordinate``
 formats with ``general`` or ``symmetric`` symmetry. Symmetric files are
-expanded to full storage on read. Values are written with shortest
-round-tripping decimal representation, so read(write(M)) reproduces M exactly.
-Parse failures report the offending 1-based line number.
+expanded to full storage on read; duplicate coordinate entries are summed.
+The reader parses the body in one vectorized pass and reads only a rejected
+file again, line by line, to name the offending 1-based line. Values are
+written in shortest round-tripping form, so read(write(M)) reproduces M exactly.
 """
 
+import math
 import os
 import tempfile
-from itertools import chain
+from itertools import chain, islice
 
 import numpy as np
 
@@ -56,151 +58,148 @@ def _parse_header(line):
     return fmt, symmetry
 
 
-def _data_lines(lines):
-    """Yield (1-based line number, stripped content), skipping comments and blanks."""
-    for number, raw in enumerate(lines[1:], start=2):
-        stripped = raw.strip()
-        if not stripped or stripped.startswith("%"):
-            continue
-        yield number, stripped
-
-
-def _parse_floats(text, number, expected=None):
-    tokens = text.split()
-    if expected is not None and len(tokens) != expected:
-        raise MatrixMarketError(
-            f"expected {expected} fields, got {len(tokens)}", line=number
-        )
-    out = []
-    for tok in tokens:
-        try:
-            v = float(tok)
-        except ValueError:
-            raise MatrixMarketError(f"cannot parse value {tok!r}", line=number) from None
-        if not np.isfinite(v):
-            raise MatrixMarketError(f"non-finite value {tok!r}", line=number)
-        out.append(v)
-    return out
+def _read_head(fh):
+    """Header fields, size line number and text, and the body text up to the next newline."""
+    number = 0
+    for raw in iter(fh.readline, ""):
+        lines = raw.splitlines()
+        for k, line in enumerate(lines):
+            number += 1
+            if number == 1:
+                header = _parse_header(line)
+            elif (size_line := line.strip()) and not size_line.startswith("%"):
+                return header, number, size_line, "\n".join(lines[k + 1:])
+    raise MatrixMarketError("missing size line" if number else "empty file", line=number or 1)
 
 
 def read_matrix_market(path) -> np.ndarray:
     """Read a Matrix Market file into a dense 2-D float array.
 
-    An array-format body is parsed in one streamed pass. When that pass finds
-    anything it cannot take as is (a comment line, a bad or non-finite token,
-    a wrong count), the file is read again line by line, which either
-    succeeds or names the offending line. Coordinate files are read line by
-    line.
+    The body is read in chunks of about 64 KiB that end at a newline. Array
+    values go through ``float`` into one array, coordinate entries into an
+    (nnz, 3) table; counts, finiteness and index ranges are checked on the
+    whole. A file this pass rejects is read again to name the offending line.
     """
     with open(path, "r") as fh:
-        lines = fh.read().splitlines()
-    if not lines:
-        raise MatrixMarketError("empty file", line=1)
-    fmt, symmetry = _parse_header(lines[0])
-
-    data = _data_lines(lines)
-    try:
-        size_number, size_line = next(data)
-    except StopIteration:
-        raise MatrixMarketError("missing size line", line=len(lines)) from None
-
-    tokens = size_line.split()
-    want = 2 if fmt == "array" else 3
-    if len(tokens) != want:
-        raise MatrixMarketError(
-            f"size line must have {want} integers for {fmt} format, got {size_line!r}",
-            line=size_number,
-        )
-    try:
-        dims = [int(t) for t in tokens]
-    except ValueError:
-        raise MatrixMarketError(f"bad size line {size_line!r}", line=size_number) from None
-    if any(d < 0 for d in dims):
-        raise MatrixMarketError(f"negative size in {size_line!r}", line=size_number)
-    if symmetry == "symmetric" and dims[0] != dims[1]:
-        raise MatrixMarketError("symmetric matrix must be square", line=size_number)
-
-    if fmt == "coordinate":
-        return _read_coordinate(data, dims, symmetry, len(lines))
-    m = _fast_array(lines[size_number:], dims, symmetry)
-    return m if m is not None else _read_array(data, dims, symmetry, len(lines))
-
-
-def _array_count(dims, symmetry):
-    rows, cols = dims
-    return rows * cols if symmetry == "general" else rows * (rows + 1) // 2
-
-
-def _fill_array(values, dims, symmetry):
-    """Place column-major array-format values; symmetric ones fill both triangles."""
-    rows, cols = dims
-    if symmetry == "general":
-        return values.reshape(cols, rows).T.copy()
-    m = np.zeros((rows, cols))
-    jj, ii = np.triu_indices(rows)  # (j, i) with i >= j, j slowest: column-major lower triangle
-    m[ii, jj] = values
-    m[jj, ii] = values
-    return m
-
-
-def _fast_array(body, dims, symmetry):
-    """Array-format values of ``body`` in one streamed pass, or None if any is off."""
-    tokens = chain.from_iterable(map(str.split, body))
-    try:
-        # a bad token or too few values raises; count= stops before any surplus
-        values = np.fromiter(map(float, tokens), dtype=float, count=_array_count(dims, symmetry))
-    except ValueError:
-        return None
-    if next(tokens, None) is not None or not np.isfinite(values).all():
-        return None
-    return _fill_array(values, dims, symmetry)
-
-
-def _read_array(data, dims, symmetry, last_line):
-    expected = _array_count(dims, symmetry)
-    values = []
-    for number, text in data:
-        for v in _parse_floats(text, number):
-            values.append(v)
-            if len(values) > expected:
-                raise MatrixMarketError(
-                    f"more than the expected {expected} values", line=number
-                )
-    if len(values) < expected:
-        raise MatrixMarketError(
-            f"expected {expected} values, found {len(values)}", line=last_line
-        )
-    return _fill_array(np.array(values, dtype=float), dims, symmetry)
-
-
-def _read_coordinate(data, dims, symmetry, last_line):
-    rows, cols, nnz = dims
-    m = np.zeros((rows, cols))
-    seen = 0
-    for number, text in data:
-        tokens = text.split()
-        if len(tokens) != 3:
+        (fmt, symmetry), size_number, size_line, rest = _read_head(fh)
+        tokens = size_line.split()
+        want = 2 if fmt == "array" else 3
+        if len(tokens) != want:
             raise MatrixMarketError(
-                f"coordinate entry must be 'i j value', got {text!r}", line=number
+                f"size line must have {want} integers for {fmt} format, got {size_line!r}",
+                line=size_number,
             )
         try:
-            i, j = int(tokens[0]), int(tokens[1])
+            dims = [int(t) for t in tokens]
         except ValueError:
-            raise MatrixMarketError(f"bad indices in {text!r}", line=number) from None
-        if not (1 <= i <= rows and 1 <= j <= cols):
-            raise MatrixMarketError(
-                f"index ({i}, {j}) out of range for {rows}x{cols}", line=number
-            )
-        (v,) = _parse_floats(tokens[2], number, expected=1)
-        seen += 1
-        if seen > nnz:
-            raise MatrixMarketError(f"more than the declared {nnz} entries", line=number)
-        m[i - 1, j - 1] += v
-        if symmetry == "symmetric" and i != j:
-            m[j - 1, i - 1] += v
-    if seen < nnz:
-        raise MatrixMarketError(f"expected {nnz} entries, found {seen}", line=last_line)
+            raise MatrixMarketError(f"bad size line {size_line!r}", line=size_number) from None
+        if any(d < 0 for d in dims):
+            raise MatrixMarketError(f"negative size in {size_line!r}", line=size_number)
+        if symmetry == "symmetric" and dims[0] != dims[1]:
+            raise MatrixMarketError("symmetric matrix must be square", line=size_number)
+
+        # every chunk ends at a newline, so no line spans two chunks
+        chunks = iter(lambda: fh.read(1 << 16) + fh.readline(), "")
+        body = map(_uncommented, chain([rest], chunks))
+        coordinate = fmt == "coordinate"
+        if coordinate:
+            count, dtype = dims[2], (float, 3)
+            items = chain.from_iterable(map(_entries, body))
+        else:
+            rows, cols = dims
+            count = rows * cols if symmetry == "general" else rows * (rows + 1) // 2
+            dtype, items = float, map(float, chain.from_iterable(map(str.split, body)))
+        try:
+            # a bad token raises; an array stops at count= (or raises short of it), while a
+            # coordinate table grows, so a false nnz on the size line allocates nothing
+            table = np.fromiter(items, dtype=dtype, count=-1 if coordinate else count)
+            whole = len(table) == count and next(items, None) is None
+        except (ValueError, OverflowError):  # OverflowError: an index beyond float range
+            whole = False
+        if whole and np.isfinite(table).all():
+            if not coordinate or ((table[:, :2] >= 1) & (table[:, :2] <= dims[:2])).all():
+                return _fill(table, dims, symmetry, coordinate)
+        _raise_first_error(fh, size_number, dims, count, coordinate)
+
+
+def _uncommented(chunk):
+    """``chunk`` without its comment lines; only a chunk holding '%' is split into lines."""
+    if "%" not in chunk:
+        return chunk
+    return "\n".join(line for line in chunk.splitlines() if not line.lstrip().startswith("%"))
+
+
+def _entries(chunk):
+    """(i, j, value) of each entry line of ``chunk``, parsed by int, int and float."""
+    fields = list(filter(None, map(str.split, chunk.splitlines())))
+    # the strict zip or the unpacking raises ValueError unless every line has three fields
+    i, j, v = zip(*fields, strict=True) if fields else ((), (), ())
+    return zip(map(int, i), map(int, j), map(float, v))
+
+
+def _fill(table, dims, symmetry, coordinate):
+    """Dense matrix of a parsed body; a symmetric file fills both triangles.
+
+    Array values are column-major. Coordinate rows are 1-based (i, j, value),
+    summed in file order.
+    """
+    rows, cols = dims[:2]
+    if not coordinate and symmetry == "general":
+        return table.reshape(cols, rows).T.copy()
+    m = np.zeros((rows, cols))
+    if coordinate:
+        i, j = table[:, :2].T.astype(np.intp) - 1
+        if symmetry == "symmetric":  # entries at (i, j) and (j, i) are summed below the diagonal
+            i, j = np.maximum(i, j), np.minimum(i, j)
+        np.add.at(m, (i, j), table[:, 2])
+    else:
+        j, i = np.triu_indices(rows)  # (j, i) with i >= j, j slowest: column-major lower triangle
+        m[i, j] = table
+    if symmetry == "symmetric":
+        m[j, i] = m[i, j]
     return m
+
+
+def _raise_first_error(fh, size_number, dims, count, coordinate):
+    """Read the body again line by line and raise the error of its first bad line.
+
+    Runs only after the vectorized pass rejected the body; never returns values.
+    """
+    fh.seek(0)
+    lines = enumerate(chain.from_iterable(map(str.splitlines, fh)), start=1)
+    noun, bound = ("entries", "declared") if coordinate else ("values", "expected")
+    rows, cols = dims[:2]
+    seen, number = 0, size_number
+    for number, line in islice(lines, size_number, None):
+        text = line.strip()
+        if not text or text.startswith("%"):
+            continue
+        tokens = text.split()
+        if coordinate:
+            if len(tokens) != 3:
+                raise MatrixMarketError(
+                    f"coordinate entry must be 'i j value', got {text!r}", line=number
+                )
+            try:
+                i, j = int(tokens[0]), int(tokens[1])
+            except ValueError:
+                raise MatrixMarketError(f"bad indices in {text!r}", line=number) from None
+            if not (1 <= i <= rows and 1 <= j <= cols):
+                raise MatrixMarketError(
+                    f"index ({i}, {j}) out of range for {rows}x{cols}", line=number
+                )
+            tokens = tokens[2:]
+        for tok in tokens:
+            try:
+                v = float(tok)
+            except ValueError:
+                raise MatrixMarketError(f"cannot parse value {tok!r}", line=number) from None
+            if not math.isfinite(v):
+                raise MatrixMarketError(f"non-finite value {tok!r}", line=number)
+        seen += 1 if coordinate else len(tokens)
+        if seen > count:
+            raise MatrixMarketError(f"more than the {bound} {count} {noun}", line=number)
+    raise MatrixMarketError(f"expected {count} {noun}, found {seen}", line=number)
 
 
 def write_matrix_market(path, matrix, fmt: str = "array"):

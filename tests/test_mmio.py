@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-import kronlap.mmio as mmio
 from kronlap import MatrixMarketError, read_matrix_market, write_matrix_market
 
 
@@ -69,54 +72,134 @@ def test_writer_text(tmp_path):
     )
 
 
-def _read_both(path, monkeypatch):
-    """Read once by the streamed pass and once line by line; assert each path ran."""
-
-    def must_not_run(*args):
-        raise AssertionError("line-by-line reader ran on a well-formed file")
-
-    with monkeypatch.context() as mp:
-        mp.setattr(mmio, "_read_array", must_not_run)
-        fast = read_matrix_market(path)
-    with monkeypatch.context() as mp:
-        mp.setattr(mmio, "_fast_array", lambda *args: None)
-        slow = read_matrix_market(path)
-    return fast, slow
-
-
 # a signed zero, a subnormal and values far apart in magnitude
 _AWKWARD = [1e16, 1.0, -1e16, -0.0, 0.1, 3e-310, -2.5, 7.0]
+# str.splitlines breaks at each of these, so each ends a line; blank and
+# comment lines may sit anywhere in the body, long ones included
+_LINE_BREAKS = [
+    "\n", "\r\n", "\x0c", "\x85", "\n\n", "\x0c \x85", "\n% a comment\n", "\x0c \t%\x85",
+    "\n%" + "=" * 600 + "\n",
+]
 
 
-class TestFastReaderMatchesLineByLine:
-    @pytest.mark.parametrize("symmetry", ["general", "symmetric"])
-    def test_array(self, tmp_path, monkeypatch, symmetry):
-        rng = np.random.default_rng(1)
-        n = 7
-        count = n * n if symmetry == "general" else n * (n + 1) // 2
-        values = [repr(v) for v in rng.choice(_AWKWARD, count).tolist()]
-        # several values on one line and blank lines are both allowed
-        body = [" ".join(values[k:k + 3]) for k in range(0, count, 3)]
-        body.insert(2, "")
-        f = tmp_path / "a.mtx"
-        f.write_text(f"%%MatrixMarket matrix array real {symmetry}\n{n} {n}\n" + "\n".join(body))
-        fast, slow = _read_both(f, monkeypatch)
-        assert fast.tobytes() == slow.tobytes()
-        assert fast.flags.c_contiguous and slow.flags.c_contiguous
-        if symmetry == "symmetric":
-            np.testing.assert_array_equal(fast, fast.T)
+def _body(rng, fields, in_line):
+    """Join lines of fields with random separators, one also before the first line."""
+    breaks = rng.choice(_LINE_BREAKS, size=len(fields) + 1, p=[0.3, 0.1, 0.1, 0.1] + [0.08] * 5)
+    parts = []
+    for sep, line in zip(breaks, fields):
+        parts += [sep, rng.choice(in_line).join(line)]
+    return "".join(parts) + breaks[-1]
 
 
-    def test_other_line_breaks(self, tmp_path, monkeypatch):
-        # str.splitlines also breaks at form feed, NEL and the like, even right
-        # after the size line; both readers must count lines the same way
-        f = tmp_path / "a.mtx"
-        f.write_text("%%MatrixMarket matrix array real general\n2 2\x0c1.0\x0c0.0\n0.0\x851.0\n")
-        fast, slow = _read_both(f, monkeypatch)
-        assert fast.tobytes() == slow.tobytes() == np.eye(2).tobytes()
-        f.write_text("%%MatrixMarket matrix array real general\n2 2\x0c1.0\x0cx\n0.0\n1.0\n")
-        with pytest.raises(MatrixMarketError, match="^line 4: cannot parse value 'x'$"):
+@settings(max_examples=30, deadline=None)
+@given(
+    fmt=st.sampled_from(["array", "coordinate"]),
+    symmetry=st.sampled_from(["general", "symmetric"]),
+    n=st.sampled_from([1, 2, 7, 150]),
+    extra_cols=st.integers(0, 2),
+    seed=st.integers(0, 2**32 - 1),
+)
+# at n = 150 files run to a few hundred KiB, so chunked reading splits the
+# body many times, at line breaks and comments alike
+@example(fmt="array", symmetry="general", n=150, extra_cols=1, seed=0)
+@example(fmt="coordinate", symmetry="symmetric", n=150, extra_cols=0, seed=1)
+def test_reader_matches_written_values(tmp_path_factory, fmt, symmetry, n, extra_cols, seed):
+    rng = np.random.default_rng(seed)
+    rows, cols = n, n if symmetry == "symmetric" else n + extra_cols
+    expected = np.zeros((rows, cols))
+    if fmt == "array":
+        # column-major, only the lower triangle when symmetric
+        lower = symmetry == "symmetric"
+        cells = [(i, j) for j in range(cols) for i in range(rows) if i >= j or not lower]
+        values = rng.choice(_AWKWARD, len(cells)).tolist()
+        for (i, j), v in zip(cells, values):
+            expected[i, j] = v
+            if lower:
+                expected[j, i] = v
+        size = f"{rows} {cols}"
+        # several values on one line are allowed too
+        width = int(rng.integers(1, 4))
+        fields = [list(map(repr, values[k:k + width])) for k in range(0, len(values), width)]
+        in_line = [" ", "\t", "  "]
+    else:
+        # duplicates are summed in file order; a symmetric entry counts for (j, i) as well
+        nnz = max(1, rows * cols // 2)
+        ii = rng.integers(1, rows + 1, nnz).tolist()
+        jj = rng.integers(1, cols + 1, nnz).tolist()
+        values = rng.choice(_AWKWARD, nnz).tolist()
+        for i, j, v in zip(ii, jj, values):
+            expected[i - 1, j - 1] += v
+            if symmetry == "symmetric" and i != j:
+                expected[j - 1, i - 1] += v
+        size = f"{rows} {cols} {nnz}"
+        fields = [[str(i), str(j), repr(v)] for i, j, v in zip(ii, jj, values)]
+        in_line = [" ", "\t", " \t "]
+    f = tmp_path_factory.mktemp("mm") / "m.mtx"
+    header = f"%%MatrixMarket matrix {fmt} real {symmetry}\n{size}"
+    with open(f, "w", newline="") as fh:  # keep "\r\n" as written
+        fh.write(header + _body(rng, fields, in_line))
+    m = read_matrix_market(f)
+    assert m.tobytes() == expected.tobytes()
+    assert m.shape == expected.shape and m.flags.c_contiguous
+    if symmetry == "symmetric":
+        np.testing.assert_array_equal(m, m.T)
+
+
+def test_other_line_breaks(tmp_path):
+    # str.splitlines also breaks at form feed, NEL and the like, even right
+    # after the size line, and error messages count lines the same way
+    f = tmp_path / "a.mtx"
+    f.write_text("%%MatrixMarket matrix array real general\n2 2\x0c1.0\x0c0.0\n0.0\x851.0\n")
+    assert read_matrix_market(f).tobytes() == np.eye(2).tobytes()
+    f.write_text("%%MatrixMarket matrix array real general\n2 2\x0c1.0\x0cx\n0.0\n1.0\n")
+    with pytest.raises(MatrixMarketError, match="^line 4: cannot parse value 'x'$"):
+        read_matrix_market(f)
+
+
+_COORDINATE = "%%MatrixMarket matrix coordinate real {}\n"
+
+
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        (_COORDINATE.format("general") + "2 2 1\n1.0 1 1.0\n",
+         "^line 3: bad indices in '1.0 1 1.0'$"),
+        (_COORDINATE.format("general") + "2 2 1\n3 1 1.0\n",
+         r"^line 3: index \(3, 1\) out of range for 2x2$"),
+        # six fields in all, but not three on each line
+        (_COORDINATE.format("general") + "2 2 2\n1 1\n1.0 2 2 2.0\n",
+         "^line 3: coordinate entry must be 'i j value', got '1 1'$"),
+        (_COORDINATE.format("general") + "2 2 2\n1 1 1.0\n2 2 -inf\n",
+         "^line 4: non-finite value '-inf'$"),
+        # far more entries declared than could be stored
+        (_COORDINATE.format("general") + "2 2 1000000000000000\n1 1 1.0\n",
+         "^line 3: expected 1000000000000000 entries, found 1$"),
+        # both triangles sum the entries at (2, 1) and (1, 2) in file order
+        (_COORDINATE.format("symmetric") + "2 2 3\n2 1 1.0\n1 2 2.0\n2 1 0.1\n",
+         [[0.0, 3.1], [3.1, 0.0]]),
+    ],
+)
+def test_coordinate_errors_and_sums(tmp_path, text, expected):
+    f = tmp_path / "c.mtx"
+    f.write_text(text)
+    if isinstance(expected, str):
+        with pytest.raises(MatrixMarketError, match=expected):
             read_matrix_market(f)
+    else:
+        np.testing.assert_array_equal(read_matrix_market(f), np.array(expected))
+
+
+def test_array_read_memory_stays_near_result_size(tmp_path):
+    # the body is read in chunks, so no list of its lines or tokens is held
+    f = tmp_path / "big.mtx"
+    write_matrix_market(f, np.random.default_rng(0).standard_normal((512, 512)))
+    tracemalloc.start()
+    try:
+        m = read_matrix_market(f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * m.nbytes
 
 
 class TestErrors:
