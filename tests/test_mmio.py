@@ -145,15 +145,52 @@ def test_reader_matches_written_values(tmp_path_factory, fmt, symmetry, n, extra
         np.testing.assert_array_equal(m, m.T)
 
 
-def test_other_line_breaks(tmp_path):
-    # str.splitlines also breaks at form feed, NEL and the like, even right
-    # after the size line, and error messages count lines the same way
-    f = tmp_path / "a.mtx"
-    f.write_text("%%MatrixMarket matrix array real general\n2 2\x0c1.0\x0c0.0\n0.0\x851.0\n")
-    assert read_matrix_market(f).tobytes() == np.eye(2).tobytes()
-    f.write_text("%%MatrixMarket matrix array real general\n2 2\x0c1.0\x0cx\n0.0\n1.0\n")
-    with pytest.raises(MatrixMarketError, match="^line 4: cannot parse value 'x'$"):
-        read_matrix_market(f)
+def _array_line_by_line(text):
+    """Reference parse of an array file: split lines, drop comments and blanks, fill by column."""
+    header, *lines = text.splitlines()
+    lines = [s for s in lines if s.strip() and not s.lstrip().startswith("%")]
+    symmetric = header.split()[-1] == "symmetric"
+    rows, cols = map(int, lines[0].split())
+    values = [float(tok) for line in lines[1:] for tok in line.split()]
+    cells = [(i, j) for j in range(cols) for i in range(rows) if i >= j or not symmetric]
+    assert len(values) == len(cells)
+    m = np.zeros((rows, cols))
+    for (i, j), v in zip(cells, values):
+        m[i, j] = v
+        if symmetric:
+            m[j, i] = v
+    return m
+
+
+class TestFastReaderMatchesLineByLine:
+    @pytest.mark.parametrize("symmetry", ["general", "symmetric"])
+    def test_array(self, tmp_path, symmetry):
+        rng = np.random.default_rng(1)
+        n = 7
+        count = n * n if symmetry == "general" else n * (n + 1) // 2
+        values = [repr(v) for v in rng.choice(_AWKWARD, count).tolist()]
+        # several values on one line and blank lines are both allowed
+        body = [" ".join(values[k:k + 3]) for k in range(0, count, 3)]
+        body.insert(2, "")
+        f = tmp_path / "a.mtx"
+        f.write_text(f"%%MatrixMarket matrix array real {symmetry}\n{n} {n}\n" + "\n".join(body))
+        fast = read_matrix_market(f)
+        slow = _array_line_by_line(f.read_text())
+        assert fast.tobytes() == slow.tobytes()
+        assert fast.flags.c_contiguous
+        if symmetry == "symmetric":
+            np.testing.assert_array_equal(fast, fast.T)
+
+    def test_other_line_breaks(self, tmp_path):
+        # str.splitlines also breaks at form feed, NEL and the like, even right
+        # after the size line, and error messages count lines the same way
+        f = tmp_path / "a.mtx"
+        f.write_text("%%MatrixMarket matrix array real general\n2 2\x0c1.0\x0c0.0\n0.0\x851.0\n")
+        fast = read_matrix_market(f)
+        assert fast.tobytes() == _array_line_by_line(f.read_text()).tobytes() == np.eye(2).tobytes()
+        f.write_text("%%MatrixMarket matrix array real general\n2 2\x0c1.0\x0cx\n0.0\n1.0\n")
+        with pytest.raises(MatrixMarketError, match="^line 4: cannot parse value 'x'$"):
+            read_matrix_market(f)
 
 
 _COORDINATE = "%%MatrixMarket matrix coordinate real {}\n"
