@@ -4,10 +4,13 @@ Supports the real-valued subset used by the CLI: ``array`` and ``coordinate``
 formats with ``general`` or ``symmetric`` symmetry. Symmetric files are
 expanded to full storage on read; duplicate coordinate entries are summed.
 The reader parses the body in one vectorized pass and reads only a rejected
-file again, line by line, to name the offending 1-based line. Values are
-written in shortest round-tripping form, so read(write(M)) reproduces M exactly.
+file again, line by line, to name the offending 1-based line; an input that
+cannot seek is held in memory for that. Values are written in shortest
+round-tripping form, so read(write(M)) reproduces M exactly, a few thousand at
+a time, so the text of the whole matrix is never built.
 """
 
+import io
 import math
 import os
 import tempfile
@@ -22,12 +25,17 @@ _BANNER = "%%MatrixMarket"
 
 def atomic_write_text(path, text: str):
     """Write via a sibling temp file and rename, so failures leave no partial file."""
+    _atomic_write(path, (text,))
+
+
+def _atomic_write(path, pieces):
+    """:func:`atomic_write_text` for text given as an iterable of pieces, written as they come."""
     path = os.fspath(path)
     directory = os.path.dirname(path) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".kronlap-", suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+            fh.writelines(pieces)
         os.replace(tmp, path)
     except BaseException:
         try:
@@ -80,7 +88,9 @@ def read_matrix_market(path) -> np.ndarray:
     (nnz, 3) table; counts, finiteness and index ranges are checked on the
     whole. A file this pass rejects is read again to name the offending line.
     """
-    with open(path, "r") as fh:
+    with open(path, "r") as raw:
+        # a rejected body is read again from its start, so input that cannot seek is held
+        fh = raw if raw.seekable() else io.StringIO(raw.read())
         (fmt, symmetry), size_number, size_line, rest = _read_head(fh)
         tokens = size_line.split()
         want = 2 if fmt == "array" else 3
@@ -212,14 +222,28 @@ def write_matrix_market(path, matrix, fmt: str = "array"):
     if fmt not in ("array", "coordinate"):
         raise ValueError(f"unsupported output format {fmt!r}")
     rows, cols = m.shape
+    piece = 1 << 13  # values per written piece, so no text of the whole matrix is built
     if fmt == "array":
-        out = [f"{_BANNER} matrix array real general", f"{rows} {cols}"]
-        out += map(repr, m.T.ravel().tolist())
+        head = f"{_BANNER} matrix array real general\n{rows} {cols}\n"
+        values = m.T.flat  # column-major
+        body = (_lines(map(repr, values[k : k + piece].tolist())) for k in range(0, m.size, piece))
     else:
-        ii, jj = np.nonzero(m)
-        out = [f"{_BANNER} matrix coordinate real general", f"{rows} {cols} {len(ii)}"]
-        out += (
-            f"{i} {j} {v!r}"
-            for i, j, v in zip((ii + 1).tolist(), (jj + 1).tolist(), m[ii, jj].tolist())
-        )
-    atomic_write_text(path, "\n".join(out) + "\n")
+        head = f"{_BANNER} matrix coordinate real general\n{rows} {cols} {np.count_nonzero(m)}\n"
+        step = max(1, piece // max(cols, 1))  # rows per piece
+        body = (_entry_lines(m[r : r + step], r) for r in range(0, rows, step))
+    _atomic_write(path, chain([head], body))
+
+
+def _lines(texts):
+    """The texts, each ended by a newline."""
+    text = "\n".join(texts)
+    return text + "\n" if text else text
+
+
+def _entry_lines(block, first_row):
+    """'i j value' lines of the nonzeros of ``block``, whose row 0 is row ``first_row`` (0-based)."""
+    ii, jj = np.nonzero(block)
+    return _lines(
+        f"{i} {j} {v!r}"
+        for i, j, v in zip((ii + first_row + 1).tolist(), (jj + 1).tolist(), block[ii, jj].tolist())
+    )

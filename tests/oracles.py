@@ -7,7 +7,8 @@ matrix exponential by a truncated power series, and linear solves by scipy's
 dense pivoted LU with no band storage, and the structured ALS mode matrix
 as an explicit Kronecker sum. The exception is
 `sweeps_by_embed`, the projection sweeps written with the library's full
-N x N `embed`, kept as a bit-exact reference for the in-place sweeps.
+N x N `embed`, kept as a bit-exact reference for the factors of the
+library's support-only sweeps.
 """
 
 import math
@@ -153,8 +154,10 @@ def sweeps_by_embed(a, modes, iter_max, tol):
     embedded updates, is at most ``tol * ||A||_F``. Returns (alpha, factors,
     residual_fro, sweeps_used, changes), canonicalized as ``LaplacianLike``
     does, with the same floating-point operations per entry as the library's
-    in-place sweeps, so results match bit for bit; ``changes`` lists each
-    sweep's ||sum_i embed(i, u_i)||_F.
+    sweeps, so alpha, the factors and the sweep count match bit for bit. The
+    library sums the residual's squares in another order (off the embeds'
+    support, then on it), so ``residual_fro`` agrees to rounding only;
+    ``changes`` lists each sweep's ||sum_i embed(i, u_i)||_F.
     """
     a = np.asarray(a, float)
     modes = tuple(modes)

@@ -58,6 +58,19 @@ def test_cold_start_loads_scipy_only_to_solve(tmp_path):
     assert out.returncode == 0, out.stderr
 
 
+def test_malformed_body_on_stdin_names_its_line(tmp_path):
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    argv = ["decompose", "--input", "/dev/stdin", "--dims", "2", "--output", "r.json"]
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, kronlap.cli; sys.exit(kronlap.cli.main(sys.argv[1:]))", *argv],
+        input="%%MatrixMarket matrix array real general\n2 2\n1.0\nx\n0.0\n1.0\n",
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert out.returncode == 1
+    assert out.stderr == "error: line 4: cannot parse value 'x'\n"
+    assert not (tmp_path / "r.json").exists()
+
+
 class TestDecompose:
     def test_adjacency(self, tmp_path, adjacency6):
         src = tmp_path / "a.mtx"

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -287,7 +289,7 @@ class TestProjectionScaleInvariance:
 
 
 class TestSweepsMatchEmbedOracle:
-    """The in-place sweeps do the embed-based sweeps' arithmetic, entry for entry."""
+    """The support-only sweeps do the embed-based sweeps' arithmetic, entry for entry."""
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -308,10 +310,77 @@ class TestSweepsMatchEmbedOracle:
         rep = project_delta_sweeps(given_a, modes, iter_max=iter_max, tol=tol)
         alpha, factors, residual, sweeps, _ = sweeps_by_embed(a, modes, iter_max, tol)
         assert rep.sweeps_used == sweeps
-        assert rep.residual_fro == residual
+        # the residual sums the same N^2 squares in another order
+        assert abs(rep.residual_fro - residual) <= n * n * np.finfo(float).eps * residual
         assert rep.projection.alpha == alpha
         for got, want in zip(rep.projection.factors, factors):
             assert got.tobytes() == want.tobytes()
+
+
+def _laid_out(m, layout, rng):
+    """``m`` as a C-ordered, an F-ordered or a non-contiguous array (a slice of a larger one)."""
+    if layout == "F":
+        return np.asfortranarray(m)
+    if layout == "slice":
+        n = m.shape[0]
+        big = rng.standard_normal((n + 2, 2 * n + 1))
+        big[1 : n + 1, 1::2] = m
+        return big[1 : n + 1, 1::2]
+    return np.ascontiguousarray(m)
+
+
+class TestSupportEngine:
+    """The engine reads A once and keeps only the embeds' support."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        modes=st.lists(st.integers(2, 4), min_size=1, max_size=3),
+        seed=st.integers(0, 2**32 - 1),
+        layout=st.sampled_from(["C", "F", "slice"]),
+    )
+    def test_matches_normal_equations_in_any_layout(self, modes, seed, layout):
+        rng = np.random.default_rng(seed)
+        n = int(np.prod(modes))
+        a = rng.standard_normal((n, n))
+        given_a = _laid_out(a, layout, rng)
+        oracle = project_by_normal_equations(a, modes)
+        bound = 1e-10 * np.linalg.norm(a)
+        for rep in (project_laplacian(given_a, modes), project_delta_sweeps(given_a, modes)):
+            np.testing.assert_allclose(lap_to_dense(rep.projection), oracle, atol=bound)
+            assert abs(rep.residual_fro - np.linalg.norm(a - oracle)) <= bound
+        # a member's residual is summed from zeros and rounding, not taken as
+        # ||A||^2 - ||P||^2, so it stays near the unit roundoff
+        member = _laid_out(lap_to_dense(random_laplacian_like(modes, rng)), layout, rng)
+        for rep in (project_laplacian(member, modes), project_delta_sweeps(member, modes)):
+            assert rep.relative_residual <= 1e-12
+
+    @pytest.mark.parametrize("modes", [(33, 3), (2, 17), (17, 2), (3, 2, 5), (2, 64), (5,)])
+    @pytest.mark.parametrize("layout", ["C", "F", "slice"])
+    def test_residual_where_row_chunks_split_a_mode(self, modes, layout):
+        # A is read 16 rows at a time at most; these sizes leave partial runs of a mode
+        rng = np.random.default_rng(1)
+        n = int(np.prod(modes))
+        a = rng.standard_normal((n, n))
+        rep = project_laplacian(_laid_out(a, layout, rng), modes)
+        norm_a = np.linalg.norm(a)
+        want = np.linalg.norm(a - lap_to_dense(rep.projection))
+        assert abs(rep.residual_fro - want) <= 1e-12 * norm_a
+        assert abs(rep.relative_residual - want / norm_a) <= 1e-12
+
+    @pytest.mark.parametrize("modes", [(4, 4, 4, 4, 4), (32, 32)])
+    def test_working_memory_is_a_fraction_of_a(self, modes):
+        a = np.random.default_rng(0).standard_normal((1024, 1024))
+        for run in (
+            lambda: project_laplacian(a, modes),
+            lambda: project_delta_sweeps(a, modes, iter_max=5),
+        ):
+            tracemalloc.start()
+            try:
+                run()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 0.25 * a.nbytes
 
 
 class TestMembership:

@@ -1,3 +1,4 @@
+import os
 import tracemalloc
 
 import numpy as np
@@ -237,6 +238,36 @@ def test_array_read_memory_stays_near_result_size(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak <= 3 * m.nbytes
+
+
+@pytest.mark.parametrize("fmt", ["array", "coordinate"])
+def test_write_memory_stays_near_matrix_size(tmp_path, fmt):
+    # the text is written in pieces, so neither every value's text nor the whole is held
+    m = np.random.default_rng(0).standard_normal((512, 512))
+    tracemalloc.start()
+    try:
+        write_matrix_market(tmp_path / "big.mtx", m, fmt=fmt)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * m.nbytes
+    np.testing.assert_array_equal(read_matrix_market(tmp_path / "big.mtx"), m)
+
+
+def test_error_line_from_a_pipe():
+    # a pipe cannot seek, yet a malformed body is still reported at its line
+    r, w = os.pipe()
+    os.write(w, b"%%MatrixMarket matrix array real general\n2 1\n1.0\nx\n")
+    os.close(w)
+    with pytest.raises(MatrixMarketError, match="^line 4: cannot parse value 'x'$"):
+        read_matrix_market(r)  # an int path is the pipe's file descriptor
+
+
+def test_read_from_a_pipe():
+    r, w = os.pipe()
+    os.write(w, b"%%MatrixMarket matrix coordinate real symmetric\n2 2 2\n% c\n2 1 3.5\n1 1 1\n")
+    os.close(w)
+    np.testing.assert_array_equal(read_matrix_market(r), [[1.0, 3.5], [3.5, 0.0]])
 
 
 class TestErrors:
