@@ -28,9 +28,6 @@ from .kron_core import (
     FactorGroupElement,
     LaplacianLike,
     embed,
-    frobenius_inner,
-    frobenius_norm,
-    kron,
     lap_exp,
     lap_matvec,
     lap_to_dense,
@@ -49,7 +46,6 @@ from .lap_project import (
 from .mmio import read_matrix_market, write_matrix_market
 from .poisson import (
     PoissonProblem,
-    bench_poisson,
     build_poisson,
     exact_solution,
     forcing,
@@ -77,19 +73,15 @@ __all__ = [
     "SingularMatrixError",
     "SizeLimitError",
     "als_rank_one",
-    "bench_poisson",
     "build_poisson",
     "default_config",
     "direct_solve",
     "embed",
     "exact_solution",
     "forcing",
-    "frobenius_inner",
-    "frobenius_norm",
     "get_config",
     "grou",
     "identity_component",
-    "kron",
     "lap_exp",
     "lap_matvec",
     "lap_to_dense",

@@ -1,4 +1,4 @@
-"""Command-line surface: decompose, solve, bench, gen.
+"""Command-line surface: decompose, solve, gen.
 
 Exit codes: 0 success, 1 I/O error, 2 validation error, 3 numerical failure.
 All outputs are written atomically (temp file + rename), so a failing command
@@ -16,7 +16,7 @@ from .grou import LinearOperator, direct_solve, grou
 from .kron_core import DimSplit, LaplacianLike, _as_square_matrix, lap_to_dense
 from .lap_project import laplacian_distance, project_delta_sweeps, project_laplacian
 from .mmio import atomic_write_text, read_matrix_market, write_matrix_market
-from .poisson import bench_poisson, build_poisson
+from .poisson import build_poisson
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -30,15 +30,6 @@ def _dims_arg(text: str) -> tuple[int, ...]:
     except ValueError:
         raise argparse.ArgumentTypeError(f"dims must be comma-separated integers, got {text!r}")
     return modes
-
-
-def _sizes_arg(text: str) -> tuple[int, ...]:
-    if not text.strip():
-        return ()
-    try:
-        return tuple(int(part) for part in text.split(","))
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"sizes must be comma-separated integers, got {text!r}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -73,11 +64,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--output", required=True, help="solution vector path (.mtx); "
                    "a JSON report is written next to it as <output>.json")
-
-    p = sub.add_parser("bench", help="benchmark solver arms")
-    p.add_argument("problem", choices=["poisson"])
-    p.add_argument("--sizes", required=True, type=_sizes_arg, help="grid sizes, e.g. 4,6,8")
-    p.add_argument("--output", required=True, help="CSV path")
 
     p = sub.add_parser("gen", help="generate test matrices")
     p.add_argument("--kind", choices=["laplacian", "dense", "poisson"], required=True)
@@ -169,11 +155,6 @@ def _cmd_solve(args) -> int:
     return EXIT_OK
 
 
-def _cmd_bench(args) -> int:
-    bench_poisson(args.sizes, output_path=args.output)
-    return EXIT_OK
-
-
 def _cmd_gen(args) -> int:
     rng = np.random.default_rng(args.seed)
     if args.kind == "poisson":
@@ -200,7 +181,6 @@ def _cmd_gen(args) -> int:
 _DISPATCH = {
     "decompose": _cmd_decompose,
     "solve": _cmd_solve,
-    "bench": _cmd_bench,
     "gen": _cmd_gen,
 }
 

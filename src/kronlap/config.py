@@ -15,7 +15,7 @@ ENV_DENSE_CAP = "KRONLAP_DENSE_CAP"
 
 @dataclass(frozen=True)
 class NumericConfig:
-    dense_cap: int = 4096          # max side of a materialized N x N matrix; kron gets cap^2 entries
+    dense_cap: int = 4096          # max side of a materialized N x N matrix
     membership_tol: float = 1e-8   # relative residual threshold for subspace membership
     pivot_tol: float = 1e-12       # relative pivot threshold for singularity detection
 
@@ -26,9 +26,12 @@ def default_config() -> NumericConfig:
     cap = os.environ.get(ENV_DENSE_CAP)
     if cap is not None:
         try:
-            cfg = replace(cfg, dense_cap=int(cap))
+            value = int(cap)
         except ValueError:
-            raise ValueError(f"{ENV_DENSE_CAP} must be an integer, got {cap!r}") from None
+            value = 0
+        if value < 1:
+            raise ValueError(f"{ENV_DENSE_CAP} must be a positive integer, got {cap!r}")
+        cfg = replace(cfg, dense_cap=value)
     return cfg
 
 

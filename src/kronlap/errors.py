@@ -6,7 +6,7 @@ class KronlapError(Exception):
 
 
 class SizeLimitError(KronlapError, ValueError):
-    """A dense materialization or Kronecker product would exceed a configured cap."""
+    """A dense materialization would exceed the configured cap."""
 
 
 class SingularMatrixError(KronlapError, ArithmeticError):

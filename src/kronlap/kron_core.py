@@ -2,7 +2,7 @@
 
 The mode convention is fixed once here and shared by every module: a vector of
 length N = n1*...*nd reshapes row-major to an (n1, ..., nd) array, so mode 0 is
-the slowest-varying axis and `kron(A, B)` applies A on mode 0 and B on mode 1.
+the slowest-varying axis and `np.kron(A, B)` applies A on mode 0 and B on mode 1.
 Mode indices are 0-based throughout.
 """
 
@@ -107,12 +107,6 @@ class DimSplit:
         if not 0 <= i < self.d:
             raise IndexError(f"mode index {i} out of range for {self.d} modes")
 
-    def __iter__(self):
-        return iter(self.modes)
-
-    def __len__(self):
-        return len(self.modes)
-
 
 def _as_dims(dims) -> DimSplit:
     return dims if isinstance(dims, DimSplit) else DimSplit(tuple(dims))
@@ -154,25 +148,6 @@ def _mode_blocks(m: np.ndarray, dims: DimSplit, i: int) -> np.ndarray:
     )
 
 
-def kron(a, b) -> np.ndarray:
-    """Kronecker product of two dense matrices.
-
-    Entry [(i*Br + k), (j*Bc + l)] of the result is a[i, j] * b[k, l]. The
-    result may hold at most dense_cap^2 entries, the budget of an N x N
-    materialization.
-    """
-    a = _as_matrix(a, "a")
-    b = _as_matrix(b, "b")
-    cap = get_config().dense_cap
-    rows = a.shape[0] * b.shape[0]
-    cols = a.shape[1] * b.shape[1]
-    if rows * cols > cap * cap:
-        raise SizeLimitError(
-            f"kron result {rows}x{cols} exceeds the configured cap of {cap}^2 entries"
-        )
-    return np.kron(a, b)
-
-
 def embed(i: int, x, dims) -> np.ndarray:
     """Pad a single-mode square matrix with identities on every other mode.
 
@@ -191,24 +166,11 @@ def embed(i: int, x, dims) -> np.ndarray:
     return out
 
 
-def frobenius_inner(a, b) -> float:
-    """Frobenius (trace) inner product sum_ij a[i,j] * b[i,j] = tr(a^T b)."""
-    a = _as_matrix(a, "a")
-    b = _as_matrix(b, "b")
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    return float(np.sum(a * b))
-
-
-def frobenius_norm(a) -> float:
-    return float(np.linalg.norm(_as_matrix(a)))
-
-
 def partial_trace(a, dims, i: int) -> np.ndarray:
     """Contract an N x N matrix over every mode except ``i``.
 
-    This is the adjoint of :func:`embed` under the Frobenius inner product:
-    ``frobenius_inner(embed(i, X, dims), A) == frobenius_inner(X, partial_trace(A, dims, i))``
+    This is the adjoint of :func:`embed` under the Frobenius inner product
+    <X, Y> = tr(X^T Y): tr(embed(i, X, dims)^T A) == tr(X^T partial_trace(A, dims, i)),
     and it preserves the total trace.
     """
     a, dims = _as_square_matrix(a, dims)

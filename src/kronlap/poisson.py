@@ -1,4 +1,4 @@
-"""Finite-difference Poisson problem on the unit cube and the solver benchmark.
+"""Finite-difference Poisson problem on the unit cube.
 
 The continuous problem is dxx(phi) + dyy(phi) + dzz(phi) = -f on (0,1)^3 with
 phi = 0 on the boundary, for the separable forcing
@@ -13,17 +13,11 @@ slowest; a grid function reshapes row-major to (n, n, n) as [i, j, k] for
 (x_i, y_j, z_k).
 """
 
-import csv
-import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from .grou import GrouReport, LinearOperator, direct_solve, grou
-from .kron_core import DimSplit, LaplacianLike, lap_to_dense
-from .mmio import atomic_write_text
-
-BENCH_HEADER = ("n", "N", "method", "seconds", "rel_residual", "terms")
+from .kron_core import DimSplit, LaplacianLike
 
 
 def poisson1d_stencil(n: int, h: float) -> np.ndarray:
@@ -86,72 +80,3 @@ def build_poisson(n: int) -> PoissonProblem:
     rhs = (-forcing(x, y, z)).reshape(-1)
     exact = exact_solution(x, y, z).reshape(-1)
     return PoissonProblem(n, h, operator, rhs, exact)
-
-
-def _best_of_three(fn):
-    """Best-of-3 wall-clock timing on the monotonic clock, warmup excluded."""
-    result = fn()  # warmup, untimed
-    best = float("inf")
-    for _ in range(3):
-        t0 = time.perf_counter()
-        result = fn()
-        best = min(best, time.perf_counter() - t0)
-    return result, best
-
-
-def bench_poisson(sizes, grou_params: dict | None = None, output_path=None) -> list[dict]:
-    """Time the structured greedy solver against pivoted LU on Poisson problems.
-
-    Returns one row per (size, method) and, when ``output_path`` is given,
-    writes them as CSV with header n,N,method,seconds,rel_residual,terms.
-    """
-    params = dict(eps=1e-6, tol=2.22e-6, rank_max=3000, als_iter_max=15, seed=0)
-    params.update(grou_params or {})
-    rows = []
-    for n in sizes:
-        problem = build_poisson(int(n))
-        b_norm = float(np.linalg.norm(problem.rhs))
-        op = LinearOperator.from_laplacian(problem.operator)
-
-        report, seconds = _best_of_three(lambda: grou(op, problem.rhs, **params))
-        rel = report.residual_history[-1] / b_norm if b_norm > 0 else 0.0
-        rows.append(
-            {
-                "n": problem.n,
-                "N": problem.n**3,
-                "method": "grou",
-                "seconds": seconds,
-                "rel_residual": rel,
-                "terms": report.terms_used,
-            }
-        )
-
-        dense = lap_to_dense(problem.operator)
-        x, seconds = _best_of_three(lambda: direct_solve(dense, problem.rhs))
-        rel = float(np.linalg.norm(dense @ x - problem.rhs)) / b_norm if b_norm > 0 else 0.0
-        rows.append(
-            {
-                "n": problem.n,
-                "N": problem.n**3,
-                "method": "direct",
-                "seconds": seconds,
-                "rel_residual": rel,
-                "terms": 0,
-            }
-        )
-    if output_path is not None:
-        _write_csv(output_path, rows)
-    return rows
-
-
-def _write_csv(path, rows):
-    import io
-
-    buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=BENCH_HEADER, lineterminator="\n")
-    writer.writeheader()
-    writer.writerows(rows)
-    try:
-        atomic_write_text(path, buf.getvalue())
-    except OSError as exc:
-        raise OSError(f"cannot write benchmark CSV to {path}: {exc}") from exc

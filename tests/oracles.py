@@ -1,11 +1,11 @@
 """Independent brute-force reference implementations used only by the tests.
 
-Most of these deliberately avoid the library's own code paths: Kronecker
-products by the index formula, partial traces by explicit multi-index loops,
-projections by solving the normal equations over an explicit basis, the
-matrix exponential by a truncated power series, and linear solves by scipy's
-dense pivoted LU with no band storage, and the structured ALS mode matrix
-as an explicit Kronecker sum. The exception is
+Most of these deliberately avoid the library's own code paths: the
+Frobenius inner product as an entrywise sum, partial traces by explicit
+multi-index loops, projections by solving the normal equations over an
+explicit basis, the matrix exponential by a truncated power series,
+linear solves by scipy's dense pivoted LU with no band storage, and the
+structured ALS mode matrix as an explicit Kronecker sum. The exception is
 `sweeps_by_embed`, the projection sweeps written with the library's full
 N x N `embed`, kept as a bit-exact reference for the factors of the
 library's support-only sweeps.
@@ -22,18 +22,13 @@ import scipy.linalg
 from kronlap import SizeLimitError, embed, get_config, partial_trace
 
 
-def kron_by_index_formula(a, b):
+def frobenius_inner(a, b) -> float:
+    """Frobenius (trace) inner product sum_ij a[i,j] * b[i,j] = tr(a^T b)."""
     a = np.asarray(a, float)
     b = np.asarray(b, float)
-    ar, ac = a.shape
-    br, bc = b.shape
-    out = np.empty((ar * br, ac * bc))
-    for i in range(ar):
-        for j in range(ac):
-            for k in range(br):
-                for l in range(bc):
-                    out[i * br + k, j * bc + l] = a[i, j] * b[k, l]
-    return out
+    if a.shape != b.shape:
+        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
+    return float(np.sum(a * b))
 
 
 def embed_by_kron_chain(i, x, modes):

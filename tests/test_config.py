@@ -19,9 +19,10 @@ def test_env_override(monkeypatch):
     assert get_config().dense_cap == 128
 
 
-def test_env_bad_value(monkeypatch):
-    monkeypatch.setenv("KRONLAP_DENSE_CAP", "lots")
-    with pytest.raises(ValueError):
+@pytest.mark.parametrize("value", ["lots", "0", "-3"])
+def test_env_bad_value(monkeypatch, value):
+    monkeypatch.setenv("KRONLAP_DENSE_CAP", value)
+    with pytest.raises(ValueError, match="must be a positive integer"):
         default_config()
 
 

@@ -10,9 +10,6 @@ from kronlap import (
     SingularMatrixError,
     SizeLimitError,
     embed,
-    frobenius_inner,
-    frobenius_norm,
-    kron,
     lap_exp,
     lap_matvec,
     lap_to_dense,
@@ -22,7 +19,7 @@ from kronlap import (
 )
 
 from conftest import ADJ6_X1, ADJ6_X2, LAYOUTS, SPARSE30_ALPHA, SPARSE30_X1, SPARSE30_X2, SPARSE30_X3, random_laplacian_like
-from oracles import dense_exp, embed_by_kron_chain, kron_by_index_formula, partial_trace_by_loops, traceless_basis
+from oracles import dense_exp, embed_by_kron_chain, frobenius_inner, partial_trace_by_loops, traceless_basis
 
 
 class TestDimSplit:
@@ -47,48 +44,6 @@ class TestDimSplit:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             DimSplit((0,))
-
-
-class TestKron:
-    def test_identity_times_identity(self):
-        np.testing.assert_array_equal(kron(np.eye(2), np.eye(3)), np.eye(6))
-
-    def test_swap_times_identity_block_structure(self, adjacency6):
-        got = kron(ADJ6_X1, np.eye(3))
-        expected = np.zeros((6, 6))
-        expected[:3, 3:] = np.eye(3)
-        expected[3:, :3] = np.eye(3)
-        np.testing.assert_array_equal(got, expected)
-
-    def test_matches_index_formula(self):
-        rng = np.random.default_rng(7)
-        a = rng.standard_normal((2, 3))
-        b = rng.standard_normal((3, 2))
-        np.testing.assert_allclose(kron(a, b), kron_by_index_formula(a, b), rtol=0, atol=0)
-
-    def test_size_limit(self):
-        # the budget is dense_cap^2 entries, whatever the result's shape
-        with use_config(dense_cap=5):
-            with pytest.raises(SizeLimitError):
-                kron(np.eye(2), np.eye(3))
-        with use_config(dense_cap=6):
-            assert kron(np.eye(2), np.eye(3)).shape == (6, 6)
-            assert kron(np.ones((1, 4)), np.ones((1, 9))).shape == (1, 36)
-            with pytest.raises(SizeLimitError):
-                kron(np.ones((1, 4)), np.ones((1, 10)))
-
-    @pytest.mark.parametrize("seed", range(3))
-    def test_algebraic_identities(self, seed):
-        rng = np.random.default_rng(seed)
-        a = rng.standard_normal((2, 2))
-        b = rng.standard_normal((2, 2))
-        c = rng.standard_normal((3, 3))
-        d = rng.standard_normal((3, 3))
-        np.testing.assert_allclose(kron(kron(a, c), d), kron(a, kron(c, d)), atol=1e-12)
-        np.testing.assert_allclose(kron(a + b, c), kron(a, c) + kron(b, c), atol=1e-12)
-        np.testing.assert_allclose(kron(a @ b, c @ d), kron(a, c) @ kron(b, d), atol=1e-12)
-        np.testing.assert_allclose(kron(a, c).T, kron(a.T, c.T), atol=1e-12)
-        assert np.trace(kron(a, c)) == pytest.approx(np.trace(a) * np.trace(c))
 
 
 class TestEmbed:
@@ -126,16 +81,6 @@ class TestEmbed:
 
 
 class TestFrobenius:
-    def test_identity_norm_squared_is_dimension(self):
-        assert frobenius_inner(np.eye(7), np.eye(7)) == 7.0
-
-    def test_zero(self):
-        assert frobenius_inner(np.ones((3, 3)), np.zeros((3, 3))) == 0.0
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            frobenius_inner(np.eye(2), np.eye(3))
-
     def test_embedded_factor_identity(self):
         rng = np.random.default_rng(3)
         modes = (2, 3)
@@ -160,9 +105,6 @@ class TestFrobenius:
                 b -= np.trace(b) / modes[j] * np.eye(modes[j])
                 inner = frobenius_inner(embed(i, a, modes), embed(j, b, modes))
                 assert abs(inner) <= 1e-12
-
-    def test_norm(self):
-        assert frobenius_norm(np.eye(4)) == pytest.approx(2.0)
 
 
 class TestPartialTrace:

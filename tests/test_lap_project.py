@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from kronlap import (
     LaplacianLike,
     embed,
-    frobenius_inner,
     identity_component,
     lap_to_dense,
     laplacian_distance,
@@ -26,7 +25,7 @@ from conftest import (
     SPARSE30_X3,
     random_laplacian_like,
 )
-from oracles import project_by_normal_equations, sweeps_by_embed, traceless_basis
+from oracles import frobenius_inner, project_by_normal_equations, sweeps_by_embed, traceless_basis
 
 
 class TestIdentityComponent:

@@ -1,11 +1,8 @@
-import csv
-
 import numpy as np
 import pytest
 
 from kronlap import (
     LinearOperator,
-    bench_poisson,
     build_poisson,
     direct_solve,
     exact_solution,
@@ -104,29 +101,3 @@ class TestGrouOnPoisson:
         assert rel <= 1e-4
         hist = np.array(rep.residual_history)
         assert np.all(np.diff(hist) <= 0.0)
-
-
-class TestBench:
-    def test_tiny_run(self, tmp_path):
-        out = tmp_path / "bench.csv"
-        rows = bench_poisson((4,), output_path=out)
-        assert len(rows) == 2
-        assert {r["method"] for r in rows} == {"grou", "direct"}
-        assert all(r["rel_residual"] <= 1e-5 for r in rows)
-        with open(out) as fh:
-            parsed = list(csv.DictReader(fh))
-        assert len(parsed) == 2
-        assert list(parsed[0].keys()) == ["n", "N", "method", "seconds", "rel_residual", "terms"]
-
-    def test_empty_sizes_header_only(self, tmp_path):
-        out = tmp_path / "bench.csv"
-        rows = bench_poisson((), output_path=out)
-        assert rows == []
-        assert out.read_text().strip() == "n,N,method,seconds,rel_residual,terms"
-
-    def test_three_sizes_monotone(self, tmp_path):
-        out = tmp_path / "bench.csv"
-        rows = bench_poisson((4, 6, 8), grou_params=dict(als_iter_max=10), output_path=out)
-        assert len(rows) == 6
-        sizes = [r["N"] for r in rows]
-        assert sizes == sorted(sizes)
