@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import MatrixMarketError, SingularMatrixError
 from .grou import LinearOperator, direct_solve, grou
-from .kron_core import DimSplit, LaplacianLike, _as_square_matrix, lap_to_dense
+from .kron_core import DimSplit, LaplacianLike, _as_square_matrix, _check_dense_cap, lap_to_dense
 from .lap_project import laplacian_distance, project_delta_sweeps, project_laplacian
 from .mmio import atomic_write_text, read_matrix_market, write_matrix_market
 from .poisson import build_poisson
@@ -170,6 +170,7 @@ def _cmd_gen(args) -> int:
         raise ValueError(f"--dims is required for --kind {args.kind}")
     dims = DimSplit(args.dims)
     if args.kind == "dense":
+        _check_dense_cap(dims.n)
         write_matrix_market(args.output, rng.uniform(size=(dims.n, dims.n)))
         return EXIT_OK
     factors = [rng.standard_normal((n, n)) for n in dims.modes]

@@ -19,6 +19,10 @@ class NumericConfig:
     membership_tol: float = 1e-8   # relative residual threshold for subspace membership
     pivot_tol: float = 1e-12       # relative pivot threshold for singularity detection
 
+    def __post_init__(self):
+        if self.dense_cap < 1:
+            raise ValueError(f"dense_cap must be at least 1, got {self.dense_cap!r}")
+
 
 def default_config() -> NumericConfig:
     """Built-in defaults, with the dense cap taken from the environment if set."""
@@ -26,12 +30,9 @@ def default_config() -> NumericConfig:
     cap = os.environ.get(ENV_DENSE_CAP)
     if cap is not None:
         try:
-            value = int(cap)
+            cfg = replace(cfg, dense_cap=int(cap))
         except ValueError:
-            value = 0
-        if value < 1:
-            raise ValueError(f"{ENV_DENSE_CAP} must be a positive integer, got {cap!r}")
-        cfg = replace(cfg, dense_cap=value)
+            raise ValueError(f"{ENV_DENSE_CAP} must be a positive integer, got {cap!r}") from None
     return cfg
 
 

@@ -78,7 +78,7 @@ class RankOneVector:
         return cls(dims, tuple(np.zeros(n) for n in dims.modes))
 
     def to_vector(self) -> np.ndarray:
-        return reduce(np.kron, self.factors)
+        return reduce(np.multiply.outer, self.factors).reshape(-1)
 
 
 def _unit_first(n: int) -> np.ndarray:
@@ -161,32 +161,38 @@ def _mode_weights(factors, images, k: int):
     w0 with factor i replaced by ``images[i]`` = A_i y_i. Both come back
     flattened in mode order, length N / n_k.
     """
-    w = np.ones(())
-    s = np.zeros(())
-    for j, (y, z) in enumerate(zip(factors, images)):
-        if j != k:
-            s = np.multiply.outer(s, y) + np.multiply.outer(w, z)
-            w = np.multiply.outer(w, y)
+    others = [j for j in range(len(factors)) if j != k]
+    if not others:
+        return np.ones(1), np.zeros(1)
+    w, s = factors[others[0]], images[others[0]]
+    for j in others[1:]:
+        s = np.multiply.outer(s, factors[j]) + np.multiply.outer(w, images[j])
+        w = np.multiply.outer(w, factors[j])
     return w.reshape(-1), s.reshape(-1)
+
+
+_EPS = np.finfo(float).eps
 
 
 def _lstsq(a, b, n: int):
     """Min-norm least squares by pivoted QR, rank cut at condition 1/(eps*n): (x, deficient)."""
     n_k = a.shape[1]
-    cond = np.finfo(float).eps * n
+    cond = _EPS * n
     dgelsy = _linalg().lapack.dgelsy
     x, _, rank = dgelsy(a, b[:, None], np.zeros(n_k, np.int32), cond, 4 * n_k + 1)[1:4]
     return x[:n_k, 0], bool(rank < n_k)
 
 
-def _structured_step(c, w, s, r_k):
+def _structured_step(c, eye, w, s, r_k, with_objective: bool):
     """Minimize ||r_k - (C y) w^T - y s^T||_F over y, the structured mode step.
 
-    ``r_k`` is the residual with mode k moved first, shape (n_k, N / n_k). The
-    mode matrix is ([w s] (x) I)[C; I]. With the thin QR [w s] = QR, Q (x) I
-    has orthonormal columns, so the least-squares problem on (R (x) I)[C; I] =
-    [R00 C + R01 I; R11 I] (one block row when N / n_k = 1) against r_k Q has
-    the same solutions and singular values. Returns (y, objective, rank_deficient).
+    ``r_k`` is the residual with mode k moved first, shape (n_k, N / n_k), and
+    ``eye`` the n_k x n_k identity. The mode matrix is ([w s] (x) I)[C; I].
+    With the thin QR [w s] = QR, Q (x) I has orthonormal columns, so the
+    least-squares problem on (R (x) I)[C; I] = [R00 C + R01 I; R11 I] (one
+    block row when N / n_k = 1) against r_k Q has the same solutions and
+    singular values. Returns (y, objective, rank_deficient); the objective is
+    None unless ``with_objective``.
     """
     n_k = c.shape[0]
     lapack = _linalg().lapack
@@ -195,18 +201,22 @@ def _structured_step(c, w, s, r_k):
     q = lapack.dorgqr(qr[:, :tau.size], tau)[0]
     r = qr[:tau.size]
     r[1:, 0] = 0.0  # the Householder vector, below R's diagonal
-    small = (r[:, :1, None] * c + r[:, 1:, None] * np.eye(n_k)).reshape(-1, n_k)
+    small = (r[:, :1, None] * c + r[:, 1:, None] * eye).reshape(-1, n_k)
     sol, deficient = _lstsq(small, (r_k @ q).T.reshape(-1), w.size * n_k)
+    if not with_objective:
+        return sol, None, deficient
     objective = float(np.linalg.norm(r_k - np.column_stack([c @ sol, sol]) @ ws))
     return sol, objective, deficient
 
 
-def _dense_step(a, w, r, dims: DimSplit, k: int):
+def _dense_step(a, w, r, dims: DimSplit, k: int, with_objective: bool):
     """Least-squares mode step for a dense operator: M_k = A (w0 (x)_k I)."""
     n_k = dims.modes[k]
     w = w.reshape(dims.left_size(k), 1, dims.right_size(k), 1)
     m = a @ (w * np.eye(n_k)[None, :, None, :]).reshape(dims.n, n_k)
     sol, deficient = _lstsq(m, r, dims.n)
+    if not with_objective:
+        return sol, None, deficient
     return sol, float(np.linalg.norm(r - m @ sol)), deficient
 
 
@@ -225,7 +235,8 @@ def als_rank_one(op: LinearOperator, r, iter_max: int = 15, seed: int = 0) -> Ra
     its mode matrix as A (w0 (x)_k I). Both steps take the minimum-norm
     solution by pivoted QR with the rank cutoff eps * N, and a lower rank
     flags ``rank_deficient``. The objective is computed from the residual
-    itself; ||r||^2 - ||r_k Q||^2 would cancel below the stopping rule.
+    itself, once per pass after its last mode step, where the stop reads it;
+    ||r||^2 - ||r_k Q||^2 would cancel below the stopping rule.
     A non-finite residual raises ValueError.
     """
     if iter_max < 1:
@@ -242,7 +253,8 @@ def als_rank_one(op: LinearOperator, r, iter_max: int = 15, seed: int = 0) -> Ra
     if lap is not None:
         t = r.reshape(dims.modes)
         r_modes = [np.moveaxis(t, k, 0).reshape(n_k, -1) for k, n_k in enumerate(dims.modes)]
-        c_modes = [lap.alpha * np.eye(n_k) + f for n_k, f in zip(dims.modes, lap.factors)]
+        eyes = [np.eye(n_k) for n_k in dims.modes]
+        c_modes = [lap.alpha * e + f for e, f in zip(eyes, lap.factors)]
         images = [f @ y for f, y in zip(lap.factors, factors)]
     rank_deficient = False
     objective = None
@@ -250,16 +262,19 @@ def als_rank_one(op: LinearOperator, r, iter_max: int = 15, seed: int = 0) -> Ra
         previous = objective
         went_zero = False
         for k in range(dims.d):
+            last = k == dims.d - 1  # the stop below reads only the sweep's last objective
             if lap is None:
                 w = reduce(np.multiply.outer, factors[:k] + factors[k + 1:], np.ones(()))
-                sol, objective, deficient = _dense_step(op._matrix, w, r, dims, k)
+                sol, objective, deficient = _dense_step(op._matrix, w, r, dims, k, last)
             else:
                 w, s = _mode_weights(factors, images, k)
-                sol, objective, deficient = _structured_step(c_modes[k], w, s, r_modes[k])
+                sol, objective, deficient = _structured_step(
+                    c_modes[k], eyes[k], w, s, r_modes[k], last
+                )
                 images[k] = lap.factors[k] @ sol
             rank_deficient |= deficient
             factors[k] = sol
-            if not np.any(sol):
+            if not sol.any():
                 went_zero = True
                 break
         if went_zero:
@@ -307,7 +322,7 @@ def grou(
     for i in range(rank_max):
         y = als_rank_one(op, r, iter_max=als_iter_max, seed=_term_seed(seed, i))
         yv = y.to_vector()
-        if not np.any(yv):
+        if not yv.any():
             stop = STAGNATION
             break
         r_new = r - op.apply(yv)
@@ -336,11 +351,13 @@ def _band_lu(a, kl: int, ku: int):
 
     Row kl + ku of the (2kl + ku + 1) x N storage holds the diagonal; the kl
     rows above the copied band take the fill that row interchanges create.
+    Raises ValueError when the copied band holds a non-finite entry.
     """
     n = a.shape[0]
     ab = np.zeros((2 * kl + ku + 1, n), order="F")
     for d in range(-kl, ku + 1):
         ab[kl + ku - d, max(d, 0): n + min(d, 0)] = np.diagonal(a, d)
+    _require_finite(ab[kl:], "matrix")
     lu, piv, _ = _linalg().lapack.dgbtrf(ab, kl, ku, overwrite_ab=True)
     return lu, piv
 
@@ -353,6 +370,8 @@ def direct_solve(a, b) -> np.ndarray:
     LAPACK band storage (``dgbtrf``/``dgbtrs``) in O(N kl (kl + ku)) work;
     otherwise it runs on the dense matrix. Both pick the same pivot rows, so
     they compute the same factors up to rounding. ``a`` is never written.
+    A non-finite entry raises ValueError on either path: the bandwidth counts
+    NaN and inf as nonzero, so the band path checks only its copied band.
 
     Raises SingularMatrixError, on either path, when the smallest pivot
     |u_ii| is zero or at most the configured ``pivot_tol`` times the largest;
@@ -360,7 +379,6 @@ def direct_solve(a, b) -> np.ndarray:
     """
     a = _as_matrix(a, "matrix")
     _require_square(a)
-    _require_finite(a, "matrix")
     n = a.shape[0]
     _check_dense_cap(n, "direct solve")
     b = _as_vector(b, n, "right-hand side")
@@ -374,6 +392,7 @@ def direct_solve(a, b) -> np.ndarray:
         lu, piv = _band_lu(a, kl, ku)
         diag = lu[kl + ku]
     else:
+        _require_finite(a, "matrix")
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", linalg.LinAlgWarning)
             lu, piv = linalg.lu_factor(a, check_finite=False)

@@ -217,3 +217,19 @@ def mode_matrix_by_kron(c, w, s):
     c = np.asarray(c, float)
     column = lambda v: np.asarray(v, float).reshape(-1, 1)  # noqa: E731
     return np.kron(c, column(w)) + np.kron(np.eye(c.shape[0]), column(s))
+
+
+def mode_weights_by_scalar_seed(factors, images, k):
+    """The structured mode weights (w0, s), each outer product seeded with 0-d ones/zeros."""
+    w = np.ones(())
+    s = np.zeros(())
+    for j, (y, z) in enumerate(zip(factors, images)):
+        if j != k:
+            s = np.multiply.outer(s, y) + np.multiply.outer(w, z)
+            w = np.multiply.outer(w, y)
+    return w.reshape(-1), s.reshape(-1)
+
+
+def rank_one_by_kron(factors):
+    """y1 (x) ... (x) yd as a chain of ``np.kron``."""
+    return reduce(np.kron, factors)

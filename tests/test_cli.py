@@ -276,6 +276,14 @@ class TestGen:
         assert m.shape == (6, 6)
         assert np.all((m >= 0.0) & (m < 1.0))
 
+    @pytest.mark.parametrize("kind", ["dense", "laplacian"])
+    def test_dense_cap_env(self, kind, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("KRONLAP_DENSE_CAP", "4")
+        f = tmp_path / "d.mtx"
+        assert run("gen", "--kind", kind, "--dims", "2,3", "--output", str(f)) == 2
+        assert "size 6 exceeds the configured cap 4" in capsys.readouterr().err
+        assert not f.exists()
+
     def test_gen_requires_dims(self, tmp_path):
         assert run("gen", "--kind", "dense", "--output", str(tmp_path / "d.mtx")) == 2
 

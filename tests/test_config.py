@@ -1,8 +1,16 @@
 from dataclasses import fields
 
+import numpy as np
 import pytest
 
-from kronlap import NumericConfig, default_config, get_config, set_config, use_config
+from kronlap import (
+    NumericConfig,
+    default_config,
+    embed,
+    get_config,
+    set_config,
+    use_config,
+)
 
 
 def test_defaults():
@@ -43,4 +51,19 @@ def test_set_config_roundtrip():
         assert get_config().dense_cap == 7
     finally:
         set_config(None)
+    assert get_config().dense_cap == 4096
+
+
+@pytest.mark.parametrize("cap", [0, -3])
+def test_nonpositive_cap_rejected_by_set_config(cap):
+    with pytest.raises(ValueError, match=f"dense_cap must be at least 1, got {cap}"):
+        set_config(NumericConfig(dense_cap=cap))
+    assert get_config().dense_cap == 4096
+
+
+@pytest.mark.parametrize("cap", [0, -3])
+def test_nonpositive_cap_rejected_by_use_config(cap):
+    with pytest.raises(ValueError, match=f"dense_cap must be at least 1, got {cap}"):
+        with use_config(dense_cap=cap):
+            embed(0, np.eye(2), (2, 3))
     assert get_config().dense_cap == 4096

@@ -24,7 +24,13 @@ from kronlap import (
 )
 
 from conftest import LAYOUTS, random_laplacian_like
-from oracles import bandwidths_by_nonzeros, lu_by_dense_factor, mode_matrix_by_kron
+from oracles import (
+    bandwidths_by_nonzeros,
+    lu_by_dense_factor,
+    mode_matrix_by_kron,
+    mode_weights_by_scalar_seed,
+    rank_one_by_kron,
+)
 
 # the package's `grou` attribute is the solver function, which hides the module
 grou_module = importlib.import_module("kronlap.grou")
@@ -49,6 +55,18 @@ class TestRankOneVector:
     def test_shape_validation(self):
         with pytest.raises(ValueError):
             RankOneVector((2, 3), (np.ones(3), np.ones(3)))
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        # DimSplit admits a mode of size 1 only when d = 1
+        modes=st.lists(st.integers(1, 4), min_size=1, max_size=1)
+        | st.lists(st.integers(2, 4), min_size=2, max_size=4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_to_vector_is_bit_equal_to_kron_chain(self, modes, seed):
+        rng = np.random.default_rng(seed)
+        v = RankOneVector(tuple(modes), tuple(rng.standard_normal(m) for m in modes))
+        assert v.to_vector().tobytes() == rank_one_by_kron(v.factors).tobytes()
 
 
 class TestLinearOperator:
@@ -176,7 +194,25 @@ def dense_twin(lap):
     return LinearOperator.from_dense(lap_to_dense(lap), lap.dims)
 
 
+def finite_vectors(n):
+    # the oracle's 0-d zeros seed turns an image's -0.0 into 0.0 (an equal value
+    # with other bits), so no -0.0 is drawn: x + 0.0 maps it to 0.0
+    values = st.floats(-1e3, 1e3, allow_subnormal=False).map(lambda x: x + 0.0)
+    return st.lists(values, min_size=n, max_size=n).map(np.array)
+
+
 class TestStructuredModeStep:
+    @settings(max_examples=200, deadline=None)
+    @given(modes=st.lists(st.integers(1, 4), min_size=1, max_size=4), data=st.data())
+    def test_mode_weights_bit_equal_to_scalar_seed(self, modes, data):
+        k = data.draw(st.integers(0, len(modes) - 1), label="k")
+        factors = [data.draw(finite_vectors(m), label="factor") for m in modes]
+        images = [data.draw(finite_vectors(m), label="image") for m in modes]
+        w, s = grou_module._mode_weights(factors, images, k)
+        w_ref, s_ref = mode_weights_by_scalar_seed(factors, images, k)
+        assert w.tobytes() == w_ref.tobytes()
+        assert s.tobytes() == s_ref.tobytes()
+
     @pytest.mark.parametrize("modes", [(7,), (2, 3), (3, 2, 4), (2, 3, 2, 2)])
     def test_matches_dense_path(self, modes):
         rng = np.random.default_rng(len(modes))
@@ -265,7 +301,13 @@ class TestStructuredModeStep:
         ]
         w, s = grou_module._mode_weights(factors, images, k)
         r_k = rng.standard_normal((n_k, n // n_k))
-        sol, objective, deficient = grou_module._structured_step(c, w, s, r_k)
+        sol, objective, deficient = grou_module._structured_step(c, np.eye(n_k), w, s, r_k, True)
+        # the objective is optional work: leaving it out changes nothing else
+        sol_only, none, deficient_only = grou_module._structured_step(
+            c, np.eye(n_k), w, s, r_k, False
+        )
+        np.testing.assert_array_equal(sol_only, sol)
+        assert none is None and deficient_only == deficient
 
         m = mode_matrix_by_kron(c, w, s)
         ref, _, rank, sigma = np.linalg.lstsq(m, r_k.reshape(-1), rcond=None)
@@ -430,6 +472,16 @@ class TestBandDirectSolve:
         band = 2 * kl_nz + ku_nz + 1 <= n
         assert set(calls) == {("band", kl_nz, ku_nz) if band else ("dense",)}
         np.testing.assert_array_equal(a, values)  # the caller's matrix is never written
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where, band", [((0, 12), True), ((39, 0), False)])
+    def test_non_finite_far_off_diagonal_raises(self, bad, where, band):
+        a = 2.0 * np.eye(40) - np.eye(40, k=1) - np.eye(40, k=-1)
+        a[where] = bad
+        kl, ku = bandwidths_by_nonzeros(a)  # NaN and inf count as nonzero
+        assert (2 * kl + ku + 1 <= 40) == band
+        with pytest.raises(ValueError, match="matrix contains non-finite entries"):
+            direct_solve(a, np.ones(40))
 
     def test_exactly_singular_band_raises(self):
         a = 2.0 * np.eye(20) - np.eye(20, k=1) - np.eye(20, k=-1)
