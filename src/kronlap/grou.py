@@ -40,11 +40,14 @@ class RankOneVector:
 
     Stored in normalized form: factors 1..d-1 have unit Euclidean norm and all
     magnitude rides on factor 0. The zero vector is stored with factor 0 = 0.
+    ``rank_deficient`` and ``sweeps`` describe the ALS fit that produced the
+    vector, if any.
     """
 
     dims: DimSplit
     factors: tuple[np.ndarray, ...]
     rank_deficient: bool = field(default=False, compare=False)
+    sweeps: int = field(default=0, compare=False)
 
     def __post_init__(self):
         dims = _as_dims(self.dims)
@@ -130,7 +133,8 @@ class GrouReport:
 
     ``rank_deficient_terms`` counts the accepted terms whose ALS fit met a
     mode matrix of numerical rank below n_k, by one rule on both operator
-    kinds (see :func:`als_rank_one`).
+    kinds (see :func:`als_rank_one`). ``als_sweeps`` holds the ALS sweeps of
+    each accepted term, in order.
     """
 
     x: np.ndarray
@@ -138,6 +142,7 @@ class GrouReport:
     terms_used: int
     stop_reason: str
     rank_deficient_terms: int = 0
+    als_sweeps: list[int] = field(default_factory=list)
 
 
 def _random_unit_factors(dims: DimSplit, rng) -> list[np.ndarray]:
@@ -220,13 +225,20 @@ def _dense_step(a, w, r, dims: DimSplit, k: int, with_objective: bool):
     return sol, float(np.linalg.norm(r - m @ sol)), deficient
 
 
-def als_rank_one(op: LinearOperator, r, iter_max: int = 15, seed: int = 0) -> RankOneVector:
+def als_rank_one(
+    op: LinearOperator, r, iter_max: int = 15, seed: int = 0, *, rel_tol: float | None = None
+) -> RankOneVector:
     """Fit a rank-one Kronecker vector y minimizing ||r - A y||_2.
 
     Cycles through the modes; each step solves that mode's exact linear
     least-squares problem with the other factors fixed. Stops after
-    ``iter_max`` full passes or when a pass improves the objective by less
-    than 1e-14 * ||r||.
+    ``iter_max`` full passes (sweeps) or when a sweep improves the objective
+    too little. By default that is by less than 1e-14 * ||r||, which in
+    practice lets the fit run to ``iter_max``, as a best rank-one fit needs.
+    With ``rel_tol`` it is by at most ``rel_tol`` times the previous sweep's
+    objective, a relative change of fit that reads the same at every scale
+    of r; :func:`grou` passes ``_ALS_REL_TOL``. The sweeps run are recorded
+    in the result's ``sweeps``.
 
     A structured operator never applies A inside the fit: its mode matrix has
     the two-term form w0 (x)_k C_k + s (x)_k I (see :func:`_mode_weights`), so
@@ -241,6 +253,8 @@ def als_rank_one(op: LinearOperator, r, iter_max: int = 15, seed: int = 0) -> Ra
     """
     if iter_max < 1:
         raise ValueError("iter_max must be at least 1")
+    if rel_tol is not None and not rel_tol >= 0:
+        raise ValueError("rel_tol must be non-negative")
     dims = op.dims
     r = _as_vector(r, dims.n, "residual")
     _require_finite(r, "residual")
@@ -258,7 +272,7 @@ def als_rank_one(op: LinearOperator, r, iter_max: int = 15, seed: int = 0) -> Ra
         images = [f @ y for f, y in zip(lap.factors, factors)]
     rank_deficient = False
     objective = None
-    for _ in range(iter_max):
+    for sweeps in range(1, iter_max + 1):
         previous = objective
         went_zero = False
         for k in range(dims.d):
@@ -279,9 +293,19 @@ def als_rank_one(op: LinearOperator, r, iter_max: int = 15, seed: int = 0) -> Ra
                 break
         if went_zero:
             break
-        if previous is not None and previous - objective < 1e-14 * r_norm:
+        if previous is not None and (
+            previous - objective < 1e-14 * r_norm if rel_tol is None
+            else previous - objective <= rel_tol * previous
+        ):
             break
-    return RankOneVector(dims, tuple(factors), rank_deficient=rank_deficient)
+    return RankOneVector(dims, tuple(factors), rank_deficient=rank_deficient, sweeps=sweeps)
+
+
+# GROU's inner stop: a term's ALS ends once a sweep lowers the objective by at
+# most this fraction of the previous sweep's objective. The largest value that
+# keeps Poisson solves up to n = 16 within 1e-5 of fast diagonalization with a
+# margin; see docs/als_inner_stop.md.
+_ALS_REL_TOL = 1e-4
 
 
 def _term_seed(seed: int, i: int) -> int:
@@ -299,11 +323,15 @@ def grou(
 ) -> GrouReport:
     """Greedy rank-one update solve of A x = b.
 
-    Repeatedly fits the best rank-one correction to the residual and subtracts
-    it. Stops when the residual norm falls below ``eps``, when consecutive
-    residual norms differ by less than ``tol`` (stagnation), or after
-    ``rank_max`` accepted terms. Non-convergence is reported through
-    ``stop_reason``, never raised.
+    Repeatedly fits a rank-one correction to the residual by ALS and subtracts
+    it. Each fit runs at most ``als_iter_max`` sweeps and ends earlier once a
+    sweep lowers its objective by at most ``_ALS_REL_TOL`` (1e-4) times the
+    previous sweep's, not by the absolute default rule of
+    :func:`als_rank_one`, which lets almost every fit run to the cap; the
+    sweeps of each accepted term are reported in ``als_sweeps``. Stops when
+    the residual norm falls below ``eps``, when consecutive residual norms
+    differ by less than ``tol`` (stagnation), or after ``rank_max`` accepted
+    terms. Non-convergence is reported through ``stop_reason``, never raised.
     """
     if eps <= 0 or tol <= 0:
         raise ValueError("eps and tol must be positive")
@@ -319,8 +347,11 @@ def grou(
     stop = RANK_MAX_REACHED
     terms = 0
     deficient_terms = 0
+    sweeps = []
     for i in range(rank_max):
-        y = als_rank_one(op, r, iter_max=als_iter_max, seed=_term_seed(seed, i))
+        y = als_rank_one(
+            op, r, iter_max=als_iter_max, seed=_term_seed(seed, i), rel_tol=_ALS_REL_TOL
+        )
         yv = y.to_vector()
         if not yv.any():
             stop = STAGNATION
@@ -337,13 +368,14 @@ def grou(
         history.append(norm_new)
         terms += 1
         deficient_terms += y.rank_deficient
+        sweeps.append(y.sweeps)
         if norm_new < eps:
             stop = RESIDUAL_BELOW_EPS
             break
         if abs(norm_new - history[-2]) < tol:
             stop = STAGNATION
             break
-    return GrouReport(x, history, terms, stop, deficient_terms)
+    return GrouReport(x, history, terms, stop, deficient_terms, sweeps)
 
 
 def _band_lu(a, kl: int, ku: int):

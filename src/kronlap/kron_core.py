@@ -49,7 +49,9 @@ def _require_square(m, name="matrix"):
         raise ValueError(f"{name} must be square, got shape {m.shape}")
 
 def _require_finite(m, name="matrix"):
-    if not np.all(np.isfinite(m)):
+    # min and max propagate NaN, so this is exact and, unlike isfinite, builds
+    # no boolean copy of m; an empty array is finite
+    if m.size and not (np.isfinite(m.min()) and np.isfinite(m.max())):
         raise ValueError(f"{name} contains non-finite entries")
 
 def _require_nonsingular(pivots, what: str):

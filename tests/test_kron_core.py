@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,6 +19,7 @@ from kronlap import (
     partial_trace,
     use_config,
 )
+from kronlap.kron_core import _require_finite
 
 from conftest import ADJ6_X1, ADJ6_X2, LAYOUTS, SPARSE30_ALPHA, SPARSE30_X1, SPARSE30_X2, SPARSE30_X3, random_laplacian_like
 from oracles import dense_exp, embed_by_kron_chain, frobenius_inner, partial_trace_by_loops, traceless_basis
@@ -392,3 +395,28 @@ class TestFactorGroupElement:
         np.testing.assert_allclose(
             np.linalg.inv(dense), np.kron(np.linalg.inv(a), np.linalg.inv(b)), atol=1e-10
         )
+
+
+class TestRequireFinite:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("shape", [(1,), (7,), (3, 5)])
+    def test_non_finite_rejected(self, bad, shape):
+        m = np.zeros(shape)
+        m.flat[-1] = bad
+        with pytest.raises(ValueError, match="m contains non-finite entries"):
+            _require_finite(m, "m")
+
+    def test_finite_and_empty_accepted(self):
+        _require_finite(np.array([-1e308, 1e308, 0.0]))
+        _require_finite(np.zeros(0))
+        _require_finite(np.zeros((0, 3)))
+
+    def test_allocates_no_copy(self):
+        m = np.ones((2048, 2048))
+        tracemalloc.start()
+        try:
+            _require_finite(m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.01 * m.nbytes
