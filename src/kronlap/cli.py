@@ -56,7 +56,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rhs", required=True)
     p.add_argument("--dims", required=True, type=_dims_arg)
     p.add_argument("--method", choices=["auto", "direct"], default="auto",
-                   help="auto: greedy solver with structure detection; direct: pivoted LU")
+                   help="auto: greedy solver with structure detection; direct: band Cholesky for a "
+                        "symmetric definite band, else pivoted LU (band or dense)")
     p.add_argument("--eps", type=float, default=1e-6)
     p.add_argument("--tol", type=float, default=2.22e-6)
     p.add_argument("--rank-max", type=int, default=3000)

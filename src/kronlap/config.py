@@ -2,12 +2,14 @@
 
 Every tolerance the library consults lives in one record so callers can tune
 them in a single place, either process-wide (`set_config`) or for a scoped
-block (`use_config`). The dense materialization cap can also be set through
-the ``KRONLAP_DENSE_CAP`` environment variable.
+block (`use_config`). A scoped block is a ``contextvars`` value, so it holds
+only in the thread or task that entered it. The dense materialization cap can
+also be set through the ``KRONLAP_DENSE_CAP`` environment variable.
 """
 
 import os
 from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, replace
 
 ENV_DENSE_CAP = "KRONLAP_DENSE_CAP"
@@ -37,9 +39,14 @@ def default_config() -> NumericConfig:
 
 
 _override: NumericConfig | None = None
+_scoped: ContextVar[NumericConfig | None] = ContextVar("kronlap_config", default=None)
 
 
 def get_config() -> NumericConfig:
+    """The innermost ``use_config`` of this context, else the process config."""
+    scoped = _scoped.get()
+    if scoped is not None:
+        return scoped
     return _override if _override is not None else default_config()
 
 
@@ -51,11 +58,14 @@ def set_config(cfg: NumericConfig | None) -> None:
 
 @contextmanager
 def use_config(**changes):
-    """Temporarily override selected fields of the active config."""
-    global _override
-    previous = _override
-    _override = replace(get_config(), **changes)
+    """Override selected fields of the active config in this context until the block exits.
+
+    A thread started inside the block begins in a fresh context, so it sees
+    the process config, not this override.
+    """
+    cfg = replace(get_config(), **changes)
+    token = _scoped.set(cfg)
     try:
-        yield _override
+        yield cfg
     finally:
-        _override = previous
+        _scoped.reset(token)

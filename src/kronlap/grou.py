@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 from functools import reduce
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .kron_core import (
     DimSplit,
@@ -378,6 +379,50 @@ def grou(
     return GrouReport(x, history, terms, stop, deficient_terms, sweeps)
 
 
+def _band_cholesky(a, kd: int):
+    """Band Cholesky of a symmetric definite ``a``: (factor, sign), or None.
+
+    Upper band storage puts A[j - kd : j + 1, j] in column j of a (kd + 1) x N
+    array. By symmetry that column is row j's segment A[j, j - kd : j + 1], so
+    the storage is copied from rows, contiguous in a C-ordered ``a``, and the
+    copy is compared with the upper row segments through strided views of
+    ``a`` and of the storage, with no further copy.
+    When the diagonal is negative, -A is factored and ``sign`` is -1. Returns
+    None when the band is not exactly symmetric, the diagonal is not of one
+    strict sign, or ``dpbtrf`` finds sign * A not definite. Raises ValueError
+    when the copied band holds a non-finite entry.
+    """
+    n = a.shape[0]
+    s_row, s_col = a.strides
+    ab = np.zeros((kd + 1, n), order="F")
+    cols = ab.T  # cols[j] is storage column j, contiguous
+    for j in range(kd):  # column j < kd holds only the j + 1 entries A[0 : j + 1, j]
+        cols[j, kd - j:] = a[j, : j + 1]
+    tail = (n - kd, kd + 1)  # on the band path kd < n
+    cols[kd:] = as_strided(a[kd:], shape=tail, strides=(s_row + s_col, s_col))
+    _require_finite(ab, "matrix")
+    # Row i's upper segment A[i, i : i + kd + 1] against column i's lower one,
+    # which the storage holds along an anti-diagonal: A[i + t, i] sits in
+    # column i + t, row kd - t. Rows past N - kd lie in the trailing block.
+    upper = as_strided(a, shape=tail, strides=(s_row + s_col, s_col))
+    lower = as_strided(ab[kd:], shape=tail, strides=((kd + 1) * ab.itemsize, kd * ab.itemsize))
+    trail = a[n - kd:, n - kd:]
+    if not (np.array_equal(upper, lower) and np.array_equal(trail, trail.T)):
+        return None
+    diag = ab[kd]
+    if diag.min() > 0.0:
+        sign = 1.0
+    elif diag.max() < 0.0:
+        sign = -1.0
+        np.negative(ab, out=ab)
+    else:
+        return None
+    factor, info = _linalg().lapack.dpbtrf(ab, overwrite_ab=True)
+    if info > 0:
+        return None
+    return factor, sign
+
+
 def _band_lu(a, kl: int, ku: int):
     """Pivoted LU of ``a`` in LAPACK band storage: (factor, pivots).
 
@@ -395,19 +440,30 @@ def _band_lu(a, kl: int, ku: int):
 
 
 def direct_solve(a, b) -> np.ndarray:
-    """Solve A x = b by LU elimination with partial pivoting (the reference path).
+    """Solve A x = b by a direct factorization (the reference path).
 
-    When the band that holds A's nonzeros, widened by the fill that pivoting
-    can create (2kl + ku + 1 diagonals), is no wider than N, the LU runs in
-    LAPACK band storage (``dgbtrf``/``dgbtrs``) in O(N kl (kl + ku)) work;
-    otherwise it runs on the dense matrix. Both pick the same pivot rows, so
-    they compute the same factors up to rounding. ``a`` is never written.
-    A non-finite entry raises ValueError on either path: the bandwidth counts
-    NaN and inf as nonzero, so the band path checks only its copied band.
+    Three paths, chosen from A itself:
 
-    Raises SingularMatrixError, on either path, when the smallest pivot
-    |u_ii| is zero or at most the configured ``pivot_tol`` times the largest;
-    the test is relative, so it does not depend on the scale of A.
+    - Band Cholesky (``dpbtrf``/``dpbtrs``) when A's band fits (below), its
+      lower and upper bandwidths are equal, the band is exactly symmetric and
+      the diagonal has one strict sign, and ``dpbtrf`` finds A (or -A)
+      definite. It needs no pivoting (Higham, Accuracy and Stability, Thm
+      10.3); its pivots are l_ii^2, the pivots of the unpivoted LU.
+    - Band LU with partial pivoting (``dgbtrf``/``dgbtrs``) otherwise, when
+      the band that holds A's nonzeros, widened by the fill that pivoting can
+      create (2kl + ku + 1 diagonals), is no wider than N. Its pivots are the
+      |u_ii| of the pivoted LU.
+    - Dense LU with partial pivoting (``lu_factor``) on the whole matrix when
+      the band is wider. It picks the same pivot rows as band LU, so both
+      compute the same factors up to rounding.
+
+    ``a`` is never written. A non-finite entry raises ValueError on every
+    path: the bandwidth counts NaN and inf as nonzero, so the band paths check
+    only their copied band.
+
+    Raises SingularMatrixError, on every path, when the smallest pivot is zero
+    or at most the configured ``pivot_tol`` times the largest; the test is
+    relative, so it does not depend on the scale of A.
     """
     a = _as_matrix(a, "matrix")
     _require_square(a)
@@ -419,17 +475,18 @@ def direct_solve(a, b) -> np.ndarray:
     kl, ku = linalg.bandwidth(a)
     # band storage then takes no more memory than lu_factor's copy of a; at
     # that width dgbtrf took 0.64-0.71x the time of lu_factor (N = 1024-4096)
-    band = 2 * kl + ku + 1 <= n
-    if band:
-        lu, piv = _band_lu(a, kl, ku)
-        diag = lu[kl + ku]
-    else:
+    if 2 * kl + ku + 1 > n:
         _require_finite(a, "matrix")
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", linalg.LinAlgWarning)
             lu, piv = linalg.lu_factor(a, check_finite=False)
-        diag = np.diag(lu)
-    _require_nonsingular(diag, "matrix")
-    if band:
-        return linalg.lapack.dgbtrs(lu, kl, ku, b, piv)[0]
-    return linalg.lu_solve((lu, piv), b, check_finite=False)
+        _require_nonsingular(np.diag(lu), "matrix")
+        return linalg.lu_solve((lu, piv), b, check_finite=False)
+    cholesky = _band_cholesky(a, kl) if kl == ku else None
+    if cholesky is not None:
+        factor, sign = cholesky
+        _require_nonsingular(factor[kl] ** 2, "matrix")
+        return linalg.lapack.dpbtrs(factor, sign * b)[0]
+    lu, piv = _band_lu(a, kl, ku)
+    _require_nonsingular(lu[kl + ku], "matrix")
+    return linalg.lapack.dgbtrs(lu, kl, ku, b, piv)[0]

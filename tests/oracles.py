@@ -4,8 +4,8 @@ Most of these deliberately avoid the library's own code paths: the
 Frobenius inner product as an entrywise sum, partial traces by explicit
 multi-index loops, projections by solving the normal equations over an
 explicit basis, the matrix exponential by a truncated power series,
-linear solves by scipy's dense pivoted LU with no band storage, and the
-structured ALS mode matrix as an explicit Kronecker sum. The exception is
+linear solves by scipy's dense pivoted LU with no band storage, the
+unpivoted LDL^T by plain elimination, and the structured ALS mode matrix as an explicit Kronecker sum. The exception is
 `sweeps_by_embed`, the projection sweeps written with the library's full
 N x N `embed`, kept as a bit-exact reference for the factors of the
 library's support-only sweeps.
@@ -206,6 +206,29 @@ def lu_by_dense_factor(a, b):
     lower = np.tril(lu, -1) + np.eye(a.shape[0])
     lu_norm = np.linalg.norm(np.abs(lower) @ np.abs(np.triu(lu)), np.inf)
     return x, np.abs(np.diag(lu)), lu_norm
+
+
+def ldl_by_elimination(a):
+    """Unpivoted LDL^T of a symmetric ``a`` by plain elimination: (d, L).
+
+    d holds the pivots of Gaussian elimination with no row interchanges and L
+    is unit lower triangular; for a positive definite A, d is the squared
+    diagonal of its Cholesky factor. Elimination stops at the first pivot that
+    is not positive, where a Cholesky factorization breaks down, so A is
+    positive definite exactly when every returned pivot is positive; d and L
+    then cover the leading rows only.
+    """
+    s = np.array(a, float)
+    n = s.shape[0]
+    lower = np.eye(n)
+    d = np.zeros(n)
+    for k in range(n):
+        d[k] = s[k, k]
+        if not d[k] > 0.0:
+            return d[: k + 1], lower[: k + 1, : k + 1]
+        lower[k + 1:, k] = s[k + 1:, k] / d[k]
+        s[k + 1:, k + 1:] -= np.outer(lower[k + 1:, k], s[k, k + 1:])
+    return d, lower
 
 
 def mode_matrix_by_kron(c, w, s):

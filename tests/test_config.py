@@ -1,3 +1,4 @@
+import threading
 from dataclasses import fields
 
 import numpy as np
@@ -67,3 +68,42 @@ def test_nonpositive_cap_rejected_by_use_config(cap):
         with use_config(dense_cap=cap):
             embed(0, np.eye(2), (2, 3))
     assert get_config().dense_cap == 4096
+
+
+def test_thread_started_in_scope_sees_process_config():
+    seen = []
+    try:
+        set_config(NumericConfig(dense_cap=7))
+        with use_config(pivot_tol=1e-3):
+            assert get_config().pivot_tol == 1e-3
+            t = threading.Thread(target=lambda: seen.append(get_config()))
+            t.start()
+            t.join(timeout=10)
+        assert not t.is_alive()
+        assert seen == [NumericConfig(dense_cap=7)]
+    finally:
+        set_config(None)
+
+
+def test_scopes_in_two_threads_are_separate():
+    barrier = threading.Barrier(2, timeout=10)
+
+    def scoped(tol):
+        with use_config(pivot_tol=tol):
+            barrier.wait()  # both blocks are entered before either thread reads
+            seen = get_config().pivot_tol
+            barrier.wait()  # and neither exits before both have read
+        return seen
+
+    results = {}
+    threads = [
+        threading.Thread(target=lambda tol=tol: results.__setitem__(tol, scoped(tol)))
+        for tol in (1e-3, 1e-5)
+    ]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=10)
+        assert not t.is_alive()
+    assert results == {1e-3: 1e-3, 1e-5: 1e-5}
+    assert get_config().pivot_tol == 1e-12

@@ -1,9 +1,10 @@
 import importlib
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from kronlap import (
@@ -26,6 +27,7 @@ from kronlap import (
 from conftest import LAYOUTS, random_laplacian_like
 from oracles import (
     bandwidths_by_nonzeros,
+    ldl_by_elimination,
     lu_by_dense_factor,
     mode_matrix_by_kron,
     mode_weights_by_scalar_seed,
@@ -414,9 +416,14 @@ class TestDirectSolve:
 
 
 def spy_factorizations(mp):
-    """Record each band (kl, ku) or dense LU that direct_solve runs."""
+    """Record each band Cholesky (kd), band LU (kl, ku) or dense LU that direct_solve runs."""
     calls = []
-    band, dense = scipy.linalg.lapack.dgbtrf, scipy.linalg.lu_factor
+    lapack = scipy.linalg.lapack
+    cholesky, band, dense = lapack.dpbtrf, lapack.dgbtrf, scipy.linalg.lu_factor
+
+    def cholesky_spy(ab, **kwargs):
+        calls.append(("cholesky", ab.shape[0] - 1))
+        return cholesky(ab, **kwargs)
 
     def band_spy(ab, kl, ku, **kwargs):
         calls.append(("band", kl, ku))
@@ -426,9 +433,36 @@ def spy_factorizations(mp):
         calls.append(("dense",))
         return dense(a, **kwargs)
 
-    mp.setattr(scipy.linalg.lapack, "dgbtrf", band_spy)
+    mp.setattr(lapack, "dpbtrf", cholesky_spy)
+    mp.setattr(lapack, "dgbtrf", band_spy)
     mp.setattr(scipy.linalg, "lu_factor", dense_spy)
     return calls
+
+
+def factorizations_for(values):
+    """The factorizations direct_solve runs on ``values``, in order, by its dispatch rule."""
+    n = values.shape[0]
+    kl, ku = bandwidths_by_nonzeros(values)
+    if 2 * kl + ku + 1 > n:
+        return [("dense",)]
+    diag = np.diag(values)
+    if not (np.array_equal(values, values.T) and (diag.min() > 0.0 or diag.max() < 0.0)):
+        return [("band", kl, ku)]
+    d, _ = ldl_by_elimination(np.sign(diag[0]) * values)
+    if d.min() > 0.0:
+        return [("cholesky", kl)]
+    return [("cholesky", kl), ("band", kl, ku)]
+
+
+def _gamma(k: int) -> float:
+    """Higham's gamma_k = k u / (1 - k u), with u the unit roundoff taken as eps."""
+    eps = np.finfo(float).eps
+    return k * eps / (1 - k * eps)
+
+
+def tridiagonal(diag, off=-1.0):
+    n = len(diag)
+    return np.diag(np.asarray(diag, float)) + off * (np.eye(n, k=1) + np.eye(n, k=-1))
 
 
 class TestBandDirectSolve:
@@ -450,7 +484,6 @@ class TestBandDirectSolve:
         a = LAYOUTS[layout](values)
         b = rng.standard_normal(n)
         x_ref, pivots, lu_norm = lu_by_dense_factor(values, b)
-        kl_nz, ku_nz = bandwidths_by_nonzeros(values)
         # Higham, Accuracy and Stability, Thm 9.4: LU with these pivots solves
         # (A + dA) x = b with |dA| <= gamma_3n |L||U|
         gamma = 3 * n * np.finfo(float).eps / (1 - 3 * n * np.finfo(float).eps)
@@ -469,8 +502,9 @@ class TestBandDirectSolve:
                 inv_norm = np.linalg.norm(np.linalg.inv(values), np.inf)
                 bound = 2 * gamma * inv_norm * lu_norm * (np.abs(x).max() + np.abs(x_ref).max())
                 assert np.abs(x - x_ref).max() <= bound
-        band = 2 * kl_nz + ku_nz + 1 <= n
-        assert set(calls) == {("band", kl_nz, ku_nz) if band else ("dense",)}
+        # iid entries are symmetric only on a diagonal band, where the
+        # Cholesky pivots are |a_ii| and partial pivoting reorders nothing
+        assert set(calls) == set(factorizations_for(values))
         np.testing.assert_array_equal(a, values)  # the caller's matrix is never written
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -497,8 +531,133 @@ class TestBandDirectSolve:
         calls = spy_factorizations(monkeypatch)
         problem = build_poisson(8)
         direct_solve(lap_to_dense(problem.operator), problem.rhs)
-        assert calls == [("band", 64, 64)]
+        assert calls == [("cholesky", 64)]
         calls.clear()
         rng = np.random.default_rng(4)
         direct_solve(rng.standard_normal((40, 40)) + 40.0 * np.eye(40), rng.standard_normal(40))
         assert calls == [("dense",)]
+
+
+class TestBandCholesky:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        n=st.integers(1, 40),
+        data=st.data(),
+        seed=st.integers(0, 2**32 - 1),
+        sign=st.sampled_from([1.0, -1.0]),
+        dominant=st.booleans(),
+        layout=st.sampled_from(sorted(LAYOUTS)),
+    )
+    def test_symmetric_band_matches_dense_lu(self, n, data, seed, sign, dominant, layout):
+        kd = data.draw(st.integers(0, (n - 1) // 3), label="kd")  # 3kd + 1 <= n: a band path
+        rng = np.random.default_rng(seed)
+        i, j = np.indices((n, n))
+        lower = np.where((i > j) & (i - j <= kd), rng.standard_normal((n, n)), 0.0)
+        off = lower + lower.T
+        diag = rng.uniform(0.5, 1.5, n)
+        if dominant:  # strictly diagonally dominant, so definite
+            diag += np.abs(off).sum(axis=1)
+        values = off + np.diag(sign * diag)
+        a = LAYOUTS[layout](values)
+        b = rng.standard_normal(n)
+        x_ref, lu_pivots, lu_norm = lu_by_dense_factor(values, b)
+        d, unit_lower = ldl_by_elimination(sign * values)
+        # Higham, Accuracy and Stability, Thm 10.3: the pivots of either route
+        # are those of A + dA with |dA| <= gamma_(n+1) |L| |D| |L|^T, and dA
+        # moves pivot k by w^T dA w, where w = L^-T e_k
+        ldl_abs = np.abs(unit_lower) @ np.diag(np.abs(d)) @ np.abs(unit_lower).T
+        w = np.abs(scipy.linalg.solve_triangular(unit_lower, np.eye(d.size), lower=True, unit_diagonal=True))
+        pivot_err = 2 * _gamma(n + 1) * np.einsum("ki,ij,kj->k", w, ldl_abs, w)
+        assume(np.all(np.abs(d) > pivot_err))  # rounding cannot flip any pivot's sign
+        definite = d.min() > 0.0
+        with pytest.MonkeyPatch.context() as mp:
+            calls = spy_factorizations(mp)
+            with use_config(pivot_tol=np.inf):  # every solve reports its min pivot
+                with pytest.raises(SingularMatrixError) as err:
+                    direct_solve(a, b)
+            assert calls == factorizations_for(values)
+            inv_norm = np.linalg.norm(np.linalg.inv(values), np.inf)
+            if definite:
+                assert abs(err.value.pivot - d.min()) <= pivot_err.max()
+                pivots = d
+                # Higham Thm 10.4: the Cholesky solve is exact for A + dA with
+                # |dA| <= gamma_(3n+1) |R^T| |R| = gamma_(3n+1) |L| D |L|^T
+                own_err = _gamma(3 * n + 1) * np.linalg.norm(ldl_abs, np.inf)
+            else:
+                # band LU: the same pivot rows as the dense LU (Thm 9.4)
+                assert abs(err.value.pivot - lu_pivots.min()) <= 2 * _gamma(3 * n) * lu_norm
+                pivots = lu_pivots
+                own_err = _gamma(3 * n) * lu_norm
+            if pivots.min() <= get_config().pivot_tol * pivots.max():
+                with pytest.raises(SingularMatrixError):
+                    direct_solve(a, b)
+            else:
+                x = direct_solve(a, b)
+                ref_err = _gamma(3 * n) * lu_norm
+                bound = 2 * inv_norm * (own_err * np.abs(x).max() + ref_err * np.abs(x_ref).max())
+                assert np.abs(x - x_ref).max() <= bound
+        np.testing.assert_array_equal(a, values)  # the caller's matrix is never written
+
+    def test_mixed_sign_diagonal_takes_band_lu(self, monkeypatch):
+        a = tridiagonal([4.0, -4.0] * 10)
+        b = np.arange(20.0)
+        calls = spy_factorizations(monkeypatch)
+        x = direct_solve(a, b)
+        assert calls == [("band", 1, 1)]
+        np.testing.assert_allclose(x, np.linalg.solve(a, b), rtol=1e-13)
+
+    # in the leading rows, in the middle, and in the trailing kd x kd block
+    @pytest.mark.parametrize("where", [(0, 2), (2, 0), (9, 10), (18, 19), (19, 17)])
+    def test_one_ulp_asymmetry_takes_band_lu(self, monkeypatch, where):
+        a = tridiagonal(np.full(20, 5.0)) - 0.5 * (np.eye(20, k=2) + np.eye(20, k=-2))
+        a[where] = np.nextafter(a[where], 0.0)
+        calls = spy_factorizations(monkeypatch)
+        x = direct_solve(a, np.ones(20))
+        assert calls == [("band", 2, 2)]
+        np.testing.assert_allclose(x, np.linalg.solve(a, np.ones(20)), rtol=1e-13)
+
+    def test_failed_cholesky_falls_back_to_band_lu(self, monkeypatch):
+        a = -tridiagonal(np.full(30, 2.5), off=1.0)  # negative definite
+        b = np.linspace(-1.0, 1.0, 30)
+        x_cholesky = direct_solve(a, b)
+        monkeypatch.setattr(scipy.linalg.lapack, "dpbtrf", lambda ab, **kwargs: (ab, 1))
+        calls = spy_factorizations(monkeypatch)
+        x = direct_solve(a, b)
+        assert calls == [("cholesky", 1), ("band", 1, 1)]
+        lu, piv = grou_module._band_lu(a, 1, 1)
+        np.testing.assert_array_equal(x, scipy.linalg.lapack.dgbtrs(lu, 1, 1, b, piv)[0])
+        np.testing.assert_allclose(x, x_cholesky, rtol=1e-13)
+
+    def test_singular_neumann_matrix_raises(self, monkeypatch):
+        # the 1-D Neumann Laplacian: symmetric, positive diagonal, null vector ones
+        a = tridiagonal([1.0] + [2.0] * 18 + [1.0])
+        calls = spy_factorizations(monkeypatch)
+        with pytest.raises(SingularMatrixError) as err:
+            direct_solve(a, np.ones(20))
+        assert calls == [("cholesky", 1), ("band", 1, 1)]  # its last Cholesky pivot is 0
+        assert err.value.pivot == 0.0
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_in_symmetric_band_raises(self, monkeypatch, bad):
+        a = tridiagonal(np.full(20, 3.0))
+        a[4, 5] = a[5, 4] = bad
+        calls = spy_factorizations(monkeypatch)
+        with pytest.raises(ValueError, match="matrix contains non-finite entries"):
+            direct_solve(a, np.ones(20))
+        assert calls == []
+
+    def test_peak_memory_below_band_lu_storage(self):
+        # the band is copied once, into (kd + 1) x N Cholesky storage; band LU
+        # would need (3kd + 1) x N, and a row-band copy N x (2kd + 1)
+        problem = build_poisson(12)
+        a = lap_to_dense(problem.operator)
+        n = a.shape[0]
+        kd = 12 * 12  # neighbours along the slowest mode are n^2 apart
+        direct_solve(a, problem.rhs)  # load scipy outside the traced call
+        tracemalloc.start()
+        try:
+            direct_solve(a, problem.rhs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n * (2 * kd + 1) * 8 < (3 * kd + 1) * n * 8
