@@ -40,7 +40,6 @@ from .lap_project import (
     identity_component,
     laplacian_distance,
     mode_projection,
-    project_delta_sweeps,
     project_laplacian,
 )
 from .mmio import read_matrix_market, write_matrix_market
@@ -90,7 +89,6 @@ __all__ = [
     "mode_projection",
     "partial_trace",
     "poisson1d_stencil",
-    "project_delta_sweeps",
     "project_laplacian",
     "read_matrix_market",
     "set_config",

@@ -227,19 +227,17 @@ def _dense_step(a, w, r, dims: DimSplit, k: int, with_objective: bool):
 
 
 def als_rank_one(
-    op: LinearOperator, r, iter_max: int = 15, seed: int = 0, *, rel_tol: float | None = None
+    op: LinearOperator, r, iter_max: int = 15, seed: int = 0, *, rel_tol: float = 0.0
 ) -> RankOneVector:
     """Fit a rank-one Kronecker vector y minimizing ||r - A y||_2.
 
     Cycles through the modes; each step solves that mode's exact linear
     least-squares problem with the other factors fixed. Stops after
     ``iter_max`` full passes (sweeps) or when a sweep improves the objective
-    too little. By default that is by less than 1e-14 * ||r||, which in
-    practice lets the fit run to ``iter_max``, as a best rank-one fit needs.
-    With ``rel_tol`` it is by at most ``rel_tol`` times the previous sweep's
-    objective, a relative change of fit that reads the same at every scale
-    of r; :func:`grou` passes ``_ALS_REL_TOL``. The sweeps run are recorded
-    in the result's ``sweeps``.
+    by at most ``rel_tol`` times the previous sweep's objective, a relative
+    change of fit that reads the same at every scale of r. The default 0
+    stops only when a sweep does not improve it; :func:`grou` passes
+    ``_ALS_REL_TOL``. The sweeps run are recorded in the result's ``sweeps``.
 
     A structured operator never applies A inside the fit: its mode matrix has
     the two-term form w0 (x)_k C_k + s (x)_k I (see :func:`_mode_weights`), so
@@ -254,7 +252,7 @@ def als_rank_one(
     """
     if iter_max < 1:
         raise ValueError("iter_max must be at least 1")
-    if rel_tol is not None and not rel_tol >= 0:
+    if not rel_tol >= 0:
         raise ValueError("rel_tol must be non-negative")
     dims = op.dims
     r = _as_vector(r, dims.n, "residual")
@@ -294,10 +292,7 @@ def als_rank_one(
                 break
         if went_zero:
             break
-        if previous is not None and (
-            previous - objective < 1e-14 * r_norm if rel_tol is None
-            else previous - objective <= rel_tol * previous
-        ):
+        if previous is not None and previous - objective <= rel_tol * previous:
             break
     return RankOneVector(dims, tuple(factors), rank_deficient=rank_deficient, sweeps=sweeps)
 

@@ -48,11 +48,13 @@ def _require_square(m, name="matrix"):
     if m.shape[0] != m.shape[1]:
         raise ValueError(f"{name} must be square, got shape {m.shape}")
 
-def _require_finite(m, name="matrix"):
+def _require_finite(m, name="matrix") -> float:
     # min and max propagate NaN, so this is exact and, unlike isfinite, builds
-    # no boolean copy of m; an empty array is finite
-    if m.size and not (np.isfinite(m.min()) and np.isfinite(m.max())):
+    # no boolean copy of m; returns max |m|, 0 for an empty m
+    lo, hi = (float(m.min()), float(m.max())) if m.size else (0.0, 0.0)
+    if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ValueError(f"{name} contains non-finite entries")
+    return max(-lo, hi)
 
 def _require_nonsingular(pivots, what: str):
     """Raise SingularMatrixError when min |u_ii| <= pivot_tol * max |u_ii|.

@@ -19,6 +19,7 @@ from itertools import chain, islice
 import numpy as np
 
 from .errors import MatrixMarketError
+from .kron_core import _as_matrix, _require_finite
 
 _BANNER = "%%MatrixMarket"
 
@@ -214,11 +215,8 @@ def _raise_first_error(fh, size_number, dims, count, coordinate):
 
 def write_matrix_market(path, matrix, fmt: str = "array"):
     """Write a dense 2-D array as a Matrix Market file (general symmetry)."""
-    m = np.asarray(matrix, dtype=float)
-    if m.ndim != 2:
-        raise ValueError(f"matrix must be 2-dimensional, got ndim={m.ndim}")
-    if not np.all(np.isfinite(m)):
-        raise ValueError("matrix contains non-finite entries")
+    m = _as_matrix(matrix)
+    _require_finite(m)
     if fmt not in ("array", "coordinate"):
         raise ValueError(f"unsupported output format {fmt!r}")
     rows, cols = m.shape

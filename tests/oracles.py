@@ -6,9 +6,9 @@ multi-index loops, projections by solving the normal equations over an
 explicit basis, the matrix exponential by a truncated power series,
 linear solves by scipy's dense pivoted LU with no band storage, the
 unpivoted LDL^T by plain elimination, and the structured ALS mode matrix as an explicit Kronecker sum. The exception is
-`sweeps_by_embed`, the projection sweeps written with the library's full
+`projection_by_embed`, the projection pass written with the library's full
 N x N `embed`, kept as a bit-exact reference for the factors of the
-library's support-only sweeps.
+library's support-only engine.
 """
 
 import math
@@ -141,50 +141,34 @@ def dense_exp(a, tol: float = 1e-12) -> np.ndarray:
     return out
 
 
-def sweeps_by_embed(a, modes, iter_max, tol):
-    """Per-mode projection sweeps that subtract each update as a full N x N embed.
+def projection_by_embed(a, modes):
+    """The projection pass, subtracting each mode's fit as a full N x N embed.
 
-    Takes alpha = tr(A)/N off the diagonal of a copy first and stops once the
-    residual, or from the second sweep on the norm of the sweep's summed
-    embedded updates, is at most ``tol * ||A||_F``. Returns (alpha, factors,
-    residual_fro, sweeps_used, changes), canonicalized as ``LaplacianLike``
-    does, with the same floating-point operations per entry as the library's
-    sweeps, so alpha, the factors and the sweep count match bit for bit. The
-    library sums the residual's squares in another order (off the embeds'
-    support, then on it), so ``residual_fro`` agrees to rounding only;
-    ``changes`` lists each sweep's ||sum_i embed(i, u_i)||_F.
+    Takes alpha = tr(A)/N off the diagonal of a copy first, then fits and
+    subtracts one traceless factor per mode. Returns (alpha, factors,
+    residual_fro), canonicalized as ``LaplacianLike`` does, with the same
+    floating-point operations per entry as the library's engine, so alpha
+    and the factors match bit for bit. The library sums the residual's
+    squares in another order (off the embeds' support, then on it), so
+    ``residual_fro`` agrees to rounding only.
     """
     a = np.asarray(a, float)
     modes = tuple(modes)
     n = math.prod(modes)
-    norm_a = float(np.linalg.norm(a))
     alpha = float(np.trace(a)) / n
     resid = a.copy()
     resid[np.diag_indices(n)] -= alpha
-    xs = [np.zeros((m, m)) for m in modes]
-    sweeps = 0
-    changes = []
-    while True:
-        change = np.zeros((n, n))
-        for i, n_i in enumerate(modes):
-            u = (n_i / n) * partial_trace(resid, modes, i)
-            u -= (np.trace(u) / n_i) * np.eye(n_i)
-            xs[i] += u
-            step = embed(i, u, modes)
-            resid -= step
-            change += step
-        sweeps += 1
-        changes.append(float(np.linalg.norm(change)))
-        residual = float(np.linalg.norm(resid))
-        if sweeps >= iter_max or residual <= tol * norm_a:
-            break
-        if sweeps > 1 and changes[-1] <= tol * norm_a:
-            break
+    xs = []
+    for i, n_i in enumerate(modes):
+        u = (n_i / n) * partial_trace(resid, modes, i)
+        u -= (np.trace(u) / n_i) * np.eye(n_i)
+        xs.append(u)
+        resid -= embed(i, u, modes)
     for x, n_i in zip(xs, modes):
         shift = float(np.trace(x)) / n_i
         alpha += shift
         x -= shift * np.eye(n_i)
-    return alpha, xs, residual, sweeps, changes
+    return alpha, xs, float(np.linalg.norm(resid))
 
 
 def bandwidths_by_nonzeros(a):

@@ -38,9 +38,7 @@ def run(*argv):
     assert kronlap.cli.main(list(argv)) == 0, argv
 
 run("gen", "--kind", "poisson", "--n", "4", "--output", "p")
-for method in ("closed", "iterative"):
-    run("decompose", "--input", "p_A.mtx", "--dims", "4,4,4", "--method", method,
-        "--output", method + ".json")
+run("decompose", "--input", "p_A.mtx", "--dims", "4,4,4", "--output", "report.json")
 assert "scipy" not in sys.modules
 run("solve", "--matrix", "p_A.mtx", "--rhs", "p_b.mtx", "--dims", "4,4,4", "--output", "x.mtx")
 assert "scipy.linalg" in sys.modules
@@ -100,45 +98,14 @@ class TestDecompose:
         np.testing.assert_allclose(np.array(report["factors"][1]), SPARSE30_X2, atol=1e-12)
         np.testing.assert_allclose(np.array(report["factors"][2]), SPARSE30_X3, atol=1e-12)
 
-    def test_iterative_matches_closed(self, tmp_path, sparse30):
+    @pytest.mark.parametrize("option", [["--method", "iterative"], ["--iter-max", "3"]])
+    def test_removed_sweep_options_exit_2(self, tmp_path, adjacency6, option):
         src = tmp_path / "a.mtx"
-        write_matrix_market(src, sparse30)
-        out_c = tmp_path / "closed.json"
-        out_i = tmp_path / "iter.json"
-        assert run("decompose", "--input", str(src), "--dims", "2,3,5", "--output", str(out_c)) == 0
-        assert (
-            run(
-                "decompose", "--input", str(src), "--dims", "2,3,5",
-                "--method", "iterative", "--output", str(out_i),
-            )
-            == 0
-        )
-        closed = json.loads(out_c.read_text())
-        iterative = json.loads(out_i.read_text())
-        assert iterative["method"] == "iterative"
-        assert iterative["sweeps_used"] >= 1
-        assert iterative["alpha"] == pytest.approx(closed["alpha"], abs=1e-12)
-        for f, g in zip(closed["factors"], iterative["factors"]):
-            np.testing.assert_allclose(np.array(f), np.array(g), atol=1e-10)
-
-    def test_large_scale_methods_agree(self, tmp_path):
-        a = 1e8 * np.random.default_rng(21).standard_normal((64, 64))
-        src = tmp_path / "a.mtx"
-        write_matrix_market(src, a)
-        reports = {}
-        for method in ("closed", "iterative"):
-            out = tmp_path / f"{method}.json"
-            code = run(
-                "decompose", "--input", str(src), "--dims", "4,4,4",
-                "--method", method, "--output", str(out),
-            )
-            assert code == 0
-            reports[method] = json.loads(out.read_text())
-        closed, iterative = reports["closed"], reports["iterative"]
-        scale = np.linalg.norm(a)
-        assert abs(closed["alpha"] - iterative["alpha"]) <= 1e-12 * scale
-        for f, g in zip(closed["factors"], iterative["factors"]):
-            assert np.linalg.norm(np.array(f) - np.array(g)) <= 1e-12 * scale
+        out = tmp_path / "r.json"
+        write_matrix_market(src, adjacency6)
+        code = run("decompose", "--input", str(src), "--dims", "2,3", *option, "--output", str(out))
+        assert code == 2
+        assert not out.exists()
 
     def test_dims_mismatch_exit_2(self, tmp_path, adjacency6, capsys):
         src = tmp_path / "a.mtx"

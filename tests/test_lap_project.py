@@ -12,9 +12,9 @@ from kronlap import (
     lap_to_dense,
     laplacian_distance,
     mode_projection,
-    project_delta_sweeps,
     project_laplacian,
 )
+from kronlap.lap_project import project_delta_sweeps
 
 from conftest import (
     ADJ6_X1,
@@ -25,7 +25,7 @@ from conftest import (
     SPARSE30_X3,
     random_laplacian_like,
 )
-from oracles import frobenius_inner, project_by_normal_equations, sweeps_by_embed, traceless_basis
+from oracles import frobenius_inner, project_by_normal_equations, projection_by_embed, traceless_basis
 
 
 class TestIdentityComponent:
@@ -153,6 +153,8 @@ class TestClosedFormProjection:
 
 
 class TestSweeps:
+    """``project_delta_sweeps`` returns the closed form for any valid ``iter_max`` and ``tol``."""
+
     def test_adjacency_one_sweep(self, adjacency6):
         rep = project_delta_sweeps(adjacency6, (2, 3), iter_max=10, tol=1e-12)
         assert rep.sweeps_used == 1
@@ -178,44 +180,31 @@ class TestSweeps:
             np.testing.assert_allclose(f, g, atol=1e-10)
 
     def test_second_sweep_updates_are_noise(self):
+        # one pass is exact: projecting its residual again finds rounding only,
+        # which is why the projection runs a single pass
         rng = np.random.default_rng(13)
         a = rng.standard_normal((24, 24))
-        a -= np.trace(a) / 24 * np.eye(24)
-        one = project_delta_sweeps(a, (2, 3, 4), iter_max=1, tol=1e-300)
-        two = project_delta_sweeps(a, (2, 3, 4), iter_max=2, tol=1e-300)
-        for f, g in zip(one.projection.factors, two.projection.factors):
-            assert np.linalg.norm(f - g) <= 1e-10
+        first = project_laplacian(a, (2, 3, 4)).projection
+        again = project_laplacian(a - lap_to_dense(first), (2, 3, 4)).projection
+        assert abs(again.alpha) <= 1e-14 * np.linalg.norm(a)
+        for f in again.factors:
+            assert np.linalg.norm(f) <= 1e-14 * np.linalg.norm(a)
 
     def test_monotone_residual(self):
         rng = np.random.default_rng(14)
         a = rng.standard_normal((24, 24))
-        a -= np.trace(a) / 24 * np.eye(24)
-        residuals = [
-            project_delta_sweeps(a, (2, 3, 4), iter_max=k, tol=1e-300).residual_fro
-            for k in (1, 2, 3)
-        ]
-        assert residuals[0] >= residuals[1] - 1e-12
-        assert residuals[1] >= residuals[2] - 1e-12
+        closed = project_laplacian(a, (2, 3, 4))
+        for k in (1, 2, 3):
+            rep = project_delta_sweeps(a, (2, 3, 4), iter_max=k, tol=1e-300)
+            assert (rep.sweeps_used, rep.method) == (1, "iterative")
+            assert rep.residual_fro == closed.residual_fro
+            for f, g in zip(rep.projection.factors, closed.projection.factors):
+                assert f.tobytes() == g.tobytes()
 
-    def test_non_member_stops_after_the_rounding_sweep(self):
-        # sweep 1 is exact, so sweep 2 changes the projection by rounding only
-        rng = np.random.default_rng(16)
-        a = rng.standard_normal((24, 24))
-        member = lap_to_dense(random_laplacian_like((2, 3, 4), rng))
-        for k in range(-12, 7):
-            s = 10.0 ** k
-            assert project_delta_sweeps(s * a, (2, 3, 4)).sweeps_used == 2
-            assert project_delta_sweeps(s * member, (2, 3, 4)).sweeps_used == 1
-
-    def test_change_stop_is_the_sweeps_frobenius_change(self):
-        rng = np.random.default_rng(17)
-        a = rng.standard_normal((24, 24))
-        change = sweeps_by_embed(a, (2, 3, 4), 2, 1e-300)[4][1]
-        assert change > 0.0
-        tol = change / np.linalg.norm(a)
-        above = project_delta_sweeps(a, (2, 3, 4), iter_max=3, tol=(1 + 1e-6) * tol)
-        below = project_delta_sweeps(a, (2, 3, 4), iter_max=3, tol=(1 - 1e-6) * tol)
-        assert (above.sweeps_used, below.sweeps_used) == (2, 3)
+    def test_rejects_bad_iter_max_and_tol(self):
+        for kwargs in ({"iter_max": 0}, {"tol": 0.0}, {"tol": -1.0}):
+            with pytest.raises(ValueError):
+                project_delta_sweeps(np.eye(6), (2, 3), **kwargs)
 
     def test_identity_input_gives_alpha(self):
         rep = project_delta_sweeps(np.eye(6), (2, 3))
@@ -238,26 +227,59 @@ class TestSweeps:
 
 
 class TestProjectionScaleInvariance:
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=60, deadline=None)
     @given(
         modes=st.lists(st.integers(2, 4), min_size=1, max_size=4),
-        k=st.integers(-12, 12),
+        k=st.integers(-1000, 1000),
         seed=st.integers(0, 2**32 - 1),
+        near_member=st.booleans(),
     )
-    def test_projection_scales_with_input(self, modes, k, seed):
-        s = 10.0 ** k
+    def test_projection_scales_with_input(self, modes, k, seed, near_member):
+        # s = 2^k spans the whole exponent range, so ||sA||_F^2 over- or
+        # underflows; results are compared in units of s, which is exact
+        s = 2.0**k
         n = int(np.prod(modes))
-        a = np.random.default_rng(seed).standard_normal((n, n))
+        rng = np.random.default_rng(seed)
+        a = rng.standard_normal((n, n))
+        if near_member:
+            a = lap_to_dense(random_laplacian_like(modes, rng)) + 1e-9 * a
         base = project_laplacian(a, modes)
         scaled = project_laplacian(s * a, modes)
         # each projected quantity sums at most N entries of A and then d shifts,
         # so it is within (N + d) * u * ||A||_F of exact; allow 4x that per run
         rounding = 4 * (n + len(modes)) * np.finfo(float).eps
-        bound = rounding * s * np.linalg.norm(a)
-        assert abs(scaled.projection.alpha - s * base.projection.alpha) <= bound
+        bound = rounding * np.linalg.norm(a)
+        assert abs(scaled.projection.alpha / s - base.projection.alpha) <= bound
         for x, y in zip(scaled.projection.factors, base.projection.factors):
-            assert np.linalg.norm(x - s * y) <= bound
+            assert np.linalg.norm(x / s - y) <= bound
+        assert abs(scaled.residual_fro / s - base.residual_fro) <= bound
         assert abs(scaled.relative_residual - base.relative_residual) <= rounding
+        assert laplacian_distance(s * a, modes).is_member == laplacian_distance(a, modes).is_member
+
+    @pytest.mark.parametrize("k", [-1000, -564, -460, 0, 460, 564, 1000])
+    def test_membership_at_extreme_scales(self, k):
+        # 2^-564 * A has squares below the smallest subnormal, 2^564 * A squares
+        # above the largest float; the test reads both as A
+        rng = np.random.default_rng(18)
+        a = rng.standard_normal((6, 6))
+        member = lap_to_dense(random_laplacian_like((2, 3), rng))
+        for m, is_member in ((a, False), (member, True)):
+            m = m / np.abs(m).max()  # max |m| = 1, so 2^k * m stays finite for k <= 1000
+            base = laplacian_distance(m, (2, 3))
+            got = laplacian_distance(2.0**k * m, (2, 3))
+            assert (got.is_member, base.is_member) == (is_member, is_member)
+            assert np.isfinite(got.report.residual_fro)
+            assert abs(got.relative_residual - base.relative_residual) <= 1e-15
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", [(0, 0), (0, 1), (0, 4)])
+    def test_non_finite_entries_raise(self, value, where):
+        # (0, 0) is on the diagonal, (0, 1) on mode 1's support, (0, 4) off every support
+        a = np.random.default_rng(19).standard_normal((6, 6))
+        a[where] = value
+        for run in (project_laplacian, laplacian_distance):
+            with pytest.raises(ValueError, match="non-finite"):
+                run(a, (2, 3))
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -288,27 +310,24 @@ class TestProjectionScaleInvariance:
 
 
 class TestSweepsMatchEmbedOracle:
-    """The support-only sweeps do the embed-based sweeps' arithmetic, entry for entry."""
+    """The support-only engine does the embed-based pass's arithmetic, entry for entry."""
 
     @settings(max_examples=60, deadline=None)
     @given(
         modes=st.lists(st.integers(2, 4), min_size=1, max_size=4),
         seed=st.integers(0, 2**32 - 1),
-        iter_max=st.integers(1, 4),
-        tol=st.sampled_from([1e-300, 1e-12, 1e-8, 1.0]),
         near_member=st.booleans(),
         fortran=st.booleans(),
     )
-    def test_bit_equal(self, modes, seed, iter_max, tol, near_member, fortran):
+    def test_bit_equal(self, modes, seed, near_member, fortran):
         rng = np.random.default_rng(seed)
         n = int(np.prod(modes))
         a = rng.standard_normal((n, n))
         if near_member:
             a = lap_to_dense(random_laplacian_like(modes, rng)) + 1e-9 * a
         given_a = np.asfortranarray(a) if fortran else a
-        rep = project_delta_sweeps(given_a, modes, iter_max=iter_max, tol=tol)
-        alpha, factors, residual, sweeps, _ = sweeps_by_embed(a, modes, iter_max, tol)
-        assert rep.sweeps_used == sweeps
+        rep = project_laplacian(given_a, modes)
+        alpha, factors, residual = projection_by_embed(a, modes)
         # the residual sums the same N^2 squares in another order
         assert abs(rep.residual_fro - residual) <= n * n * np.finfo(float).eps * residual
         assert rep.projection.alpha == alpha
@@ -344,14 +363,13 @@ class TestSupportEngine:
         given_a = _laid_out(a, layout, rng)
         oracle = project_by_normal_equations(a, modes)
         bound = 1e-10 * np.linalg.norm(a)
-        for rep in (project_laplacian(given_a, modes), project_delta_sweeps(given_a, modes)):
-            np.testing.assert_allclose(lap_to_dense(rep.projection), oracle, atol=bound)
-            assert abs(rep.residual_fro - np.linalg.norm(a - oracle)) <= bound
+        rep = project_laplacian(given_a, modes)
+        np.testing.assert_allclose(lap_to_dense(rep.projection), oracle, atol=bound)
+        assert abs(rep.residual_fro - np.linalg.norm(a - oracle)) <= bound
         # a member's residual is summed from zeros and rounding, not taken as
         # ||A||^2 - ||P||^2, so it stays near the unit roundoff
         member = _laid_out(lap_to_dense(random_laplacian_like(modes, rng)), layout, rng)
-        for rep in (project_laplacian(member, modes), project_delta_sweeps(member, modes)):
-            assert rep.relative_residual <= 1e-12
+        assert project_laplacian(member, modes).relative_residual <= 1e-12
 
     @pytest.mark.parametrize("modes", [(33, 3), (2, 17), (17, 2), (3, 2, 5), (2, 64), (5,)])
     @pytest.mark.parametrize("layout", ["C", "F", "slice"])
@@ -369,17 +387,13 @@ class TestSupportEngine:
     @pytest.mark.parametrize("modes", [(4, 4, 4, 4, 4), (32, 32)])
     def test_working_memory_is_a_fraction_of_a(self, modes):
         a = np.random.default_rng(0).standard_normal((1024, 1024))
-        for run in (
-            lambda: project_laplacian(a, modes),
-            lambda: project_delta_sweeps(a, modes, iter_max=5),
-        ):
-            tracemalloc.start()
-            try:
-                run()
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert peak <= 0.25 * a.nbytes
+        tracemalloc.start()
+        try:
+            project_laplacian(a, modes)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.25 * a.nbytes
 
 
 class TestMembership:
