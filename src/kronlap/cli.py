@@ -14,8 +14,9 @@ import numpy as np
 from .errors import MatrixMarketError, SingularMatrixError
 from .grou import LinearOperator, direct_solve, grou
 from .kron_core import DimSplit, LaplacianLike, _as_square_matrix, _check_dense_cap, lap_to_dense
-from .lap_project import laplacian_distance, project_laplacian
-from .lap_project import project_delta_sweeps  # noqa: F401  perfbench/tracing.py patches this name
+from .lap_project import laplacian_distance
+# unused here, but perfbench/tracing.py patches these names
+from .lap_project import project_delta_sweeps, project_laplacian  # noqa: F401
 from .mmio import atomic_write_text, read_matrix_market, write_matrix_market
 from .poisson import build_poisson
 
@@ -44,22 +45,26 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("decompose", help="project a matrix onto the Laplacian-like subspace")
     p.add_argument("--input", required=True, help="Matrix Market file with the square matrix")
     p.add_argument("--dims", required=True, type=_dims_arg, help="mode sizes, e.g. 2,3,5")
-    p.add_argument("--tol", type=float, default=1e-8,
-                   help="membership threshold on the relative residual ||A - P||_F / ||A||_F")
+    p.add_argument("--tol", type=float, help="membership threshold on the relative residual "
+                   "||A - P||_F / ||A||_F (default: the configured membership_tol)")
     p.add_argument("--output", required=True, help="JSON report path")
 
-    p = sub.add_parser("solve", help="solve A x = b")
+    # a flag without a default that is not given is absent from args, so
+    # _cmd_solve passes grou only the GROU flags given and grou's defaults hold
+    p = sub.add_parser("solve", help="solve A x = b", argument_default=argparse.SUPPRESS,
+                       description="--eps, --tol, --rank-max, --als-iter-max and --seed "
+                       "default to those of the grou function")
     p.add_argument("--matrix", required=True)
     p.add_argument("--rhs", required=True)
     p.add_argument("--dims", required=True, type=_dims_arg)
     p.add_argument("--method", choices=["auto", "direct"], default="auto",
                    help="auto: greedy solver with structure detection; direct: band Cholesky for a "
                         "symmetric definite band, else pivoted LU (band or dense)")
-    p.add_argument("--eps", type=float, default=1e-6)
-    p.add_argument("--tol", type=float, default=2.22e-6)
-    p.add_argument("--rank-max", type=int, default=3000)
-    p.add_argument("--als-iter-max", type=int, default=15)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--eps", type=float)
+    p.add_argument("--tol", type=float)
+    p.add_argument("--rank-max", type=int)
+    p.add_argument("--als-iter-max", type=int)
+    p.add_argument("--seed", type=int)
     p.add_argument("--output", required=True, help="solution vector path (.mtx); "
                    "a JSON report is written next to it as <output>.json")
 
@@ -86,16 +91,14 @@ def _read_vector(path, n: int) -> np.ndarray:
 
 def _cmd_decompose(args) -> int:
     a, dims = _as_square_matrix(read_matrix_market(args.input), args.dims)
-    if args.tol <= 0:
-        raise ValueError("tol must be positive")
-    report = project_laplacian(a, dims)
+    is_member, _, report = laplacian_distance(a, dims, args.tol)
     payload = {
         "dims": list(dims.modes),
         "alpha": report.projection.alpha,
         "factors": [f.tolist() for f in report.projection.factors],
         "residual_fro": report.residual_fro,
         "relative_residual": report.relative_residual,
-        "is_member": report.relative_residual <= args.tol,
+        "is_member": is_member,
         "method": report.method,
         "sweeps_used": report.sweeps_used,
     }
@@ -103,48 +106,34 @@ def _cmd_decompose(args) -> int:
     return EXIT_OK
 
 
+_GROU_OPTIONS = ("eps", "tol", "rank_max", "als_iter_max", "seed")
+
+
 def _cmd_solve(args) -> int:
     a, dims = _as_square_matrix(read_matrix_market(args.matrix), args.dims)
     b = _read_vector(args.rhs, dims.n)
-    b_norm = float(np.linalg.norm(b))
     if args.method == "direct":
         x = direct_solve(a, b)
-        final = float(np.linalg.norm(b - a @ x))
-        payload = {
-            "dims": list(dims.modes),
-            "method": "direct",
-            "terms_used": 0,
-            "stop_reason": "direct",
-            "residual_history": [b_norm, final],
-            "relative_residual": final / b_norm if b_norm > 0 else 0.0,
-        }
+        method = stop = "direct"
+        terms, history = 0, [float(np.linalg.norm(b)), float(np.linalg.norm(b - a @ x))]
     else:
         member, _, proj_report = laplacian_distance(a, dims)
         if member:
-            op = LinearOperator.from_laplacian(proj_report.projection)
-            method = "grou_laplacian"
+            op, method = LinearOperator.from_laplacian(proj_report.projection), "grou_laplacian"
         else:
-            op = LinearOperator.from_dense(a, dims)
-            method = "grou_dense"
-        report = grou(
-            op,
-            b,
-            eps=args.eps,
-            tol=args.tol,
-            rank_max=args.rank_max,
-            als_iter_max=args.als_iter_max,
-            seed=args.seed,
-        )
-        x = report.x
-        final = report.residual_history[-1]
-        payload = {
-            "dims": list(dims.modes),
-            "method": method,
-            "terms_used": report.terms_used,
-            "stop_reason": report.stop_reason,
-            "residual_history": report.residual_history,
-            "relative_residual": final / b_norm if b_norm > 0 else 0.0,
-        }
+            op, method = LinearOperator.from_dense(a, dims), "grou_dense"
+        options = {k: v for k, v in vars(args).items() if k in _GROU_OPTIONS}
+        report = grou(op, b, **options)
+        x, terms, stop = report.x, report.terms_used, report.stop_reason
+        history = report.residual_history  # history[0] is ||b|| on both paths
+    payload = {
+        "dims": list(dims.modes),
+        "method": method,
+        "terms_used": terms,
+        "stop_reason": stop,
+        "residual_history": history,
+        "relative_residual": history[-1] / history[0] if history[0] > 0 else 0.0,
+    }
     write_matrix_market(args.output, x.reshape(-1, 1))
     atomic_write_text(str(args.output) + ".json", json.dumps(payload, indent=2) + "\n")
     return EXIT_OK

@@ -8,7 +8,7 @@ each mode's least-squares problem from the factor vectors and applies the
 operator only once per term, to the accepted correction.
 """
 
-import warnings
+import math
 from dataclasses import dataclass, field
 from functools import reduce
 
@@ -24,6 +24,7 @@ from .kron_core import (
     _as_vector,
     _check_dense_cap,
     _linalg,
+    _lu_factor,
     _require_finite,
     _require_nonsingular,
     _require_square,
@@ -41,6 +42,9 @@ class RankOneVector:
 
     Stored in normalized form: factors 1..d-1 have unit Euclidean norm and all
     magnitude rides on factor 0. The zero vector is stored with factor 0 = 0.
+    Each norm is taken on the factor scaled by a power of two, and their
+    product is kept apart from its power of two, so factors far from unit
+    size neither underflow to zero nor overflow unless the vector does.
     ``rank_deficient`` and ``sweeps`` describe the ALS fit that produced the
     vector, if any.
     """
@@ -56,24 +60,24 @@ class RankOneVector:
         factors = [np.array(f, dtype=float).reshape(-1) for f in self.factors]
         if len(factors) != dims.d:
             raise ValueError(f"expected {dims.d} factor vectors, got {len(factors)}")
+        tops = []
         for f, n_i in zip(factors, dims.modes):
             if f.shape != (n_i,):
                 raise ValueError(f"factor of length {n_i} expected, got {f.shape}")
-            _require_finite(f, "factor")
-        scale = 1.0
-        degenerate = np.linalg.norm(factors[0]) == 0.0
-        for j in range(1, dims.d):
-            m = np.linalg.norm(factors[j])
-            if m == 0.0:
-                degenerate = True
-                break
-            factors[j] = factors[j] / m
-            scale *= m
-        if degenerate:
+            tops.append(_require_finite(f, "factor"))
+        if not all(tops):  # a zero factor
             factors = [np.zeros(dims.modes[0])]
             factors += [_unit_first(n) for n in dims.modes[1:]]
         else:
-            factors[0] = factors[0] * scale
+            scale, shift = 1.0, 0  # the product of the norms is scale * 2^shift
+            for j in range(1, dims.d):
+                e = -math.frexp(tops[j])[1]
+                g = np.ldexp(factors[j], e)
+                m = np.linalg.norm(g)
+                factors[j] = g / m
+                scale *= m
+                shift -= e
+            factors[0] = np.ldexp(factors[0] * scale, shift)
         self.factors = tuple(factors)
 
     @classmethod
@@ -144,18 +148,6 @@ class GrouReport:
     stop_reason: str
     rank_deficient_terms: int = 0
     als_sweeps: list[int] = field(default_factory=list)
-
-
-def _random_unit_factors(dims: DimSplit, rng) -> list[np.ndarray]:
-    out = []
-    for n in dims.modes:
-        v = rng.standard_normal(n)
-        m = np.linalg.norm(v)
-        while m == 0.0:  # essentially impossible, but keep the invariant airtight
-            v = rng.standard_normal(n)
-            m = np.linalg.norm(v)
-        out.append(v / m)
-    return out
 
 
 def _mode_weights(factors, images, k: int):
@@ -248,6 +240,8 @@ def als_rank_one(
     flags ``rank_deficient``. The objective is computed from the residual
     itself, once per pass after its last mode step, where the stop reads it;
     ||r||^2 - ||r_k Q||^2 would cancel below the stopping rule.
+    The fit runs on 2^e * r with max |2^e * r| in [1/2, 1) and its factor 0
+    is scaled back by 2^-e, exactly, so 2^k * r gets 2^k times the fit of r.
     A non-finite residual raises ValueError.
     """
     if iter_max < 1:
@@ -256,24 +250,24 @@ def als_rank_one(
         raise ValueError("rel_tol must be non-negative")
     dims = op.dims
     r = _as_vector(r, dims.n, "residual")
-    _require_finite(r, "residual")
-    r_norm = float(np.linalg.norm(r))
-    if r_norm == 0.0:
+    top = _require_finite(r, "residual")
+    if top == 0.0:
         return RankOneVector.zeros(dims)
+    e = -math.frexp(top)[1]
+    r = np.ldexp(r, e)
     rng = np.random.default_rng(seed)
-    factors = _random_unit_factors(dims, rng)
+    factors = [v / np.linalg.norm(v) for v in (rng.standard_normal(n) for n in dims.modes)]
     lap = op.laplacian
     if lap is not None:
         t = r.reshape(dims.modes)
         r_modes = [np.moveaxis(t, k, 0).reshape(n_k, -1) for k, n_k in enumerate(dims.modes)]
         eyes = [np.eye(n_k) for n_k in dims.modes]
-        c_modes = [lap.alpha * e + f for e, f in zip(eyes, lap.factors)]
+        c_modes = [lap.alpha * eye + f for eye, f in zip(eyes, lap.factors)]
         images = [f @ y for f, y in zip(lap.factors, factors)]
     rank_deficient = False
     objective = None
     for sweeps in range(1, iter_max + 1):
         previous = objective
-        went_zero = False
         for k in range(dims.d):
             last = k == dims.d - 1  # the stop below reads only the sweep's last objective
             if lap is None:
@@ -287,14 +281,15 @@ def als_rank_one(
                 images[k] = lap.factors[k] @ sol
             rank_deficient |= deficient
             factors[k] = sol
-            if not sol.any():
-                went_zero = True
-                break
-        if went_zero:
-            break
+            if not sol.any():  # y = 0, so factor 0 needs no scaling back
+                return RankOneVector(
+                    dims, tuple(factors), rank_deficient=rank_deficient, sweeps=sweeps
+                )
         if previous is not None and previous - objective <= rel_tol * previous:
             break
-    return RankOneVector(dims, tuple(factors), rank_deficient=rank_deficient, sweeps=sweeps)
+    y = RankOneVector(dims, tuple(factors), rank_deficient=rank_deficient, sweeps=sweeps)
+    y.factors = (np.ldexp(y.factors[0], -e), *y.factors[1:])
+    return y
 
 
 # GROU's inner stop: a term's ALS ends once a sweep lowers the objective by at
@@ -329,7 +324,7 @@ def grou(
     differ by less than ``tol`` (stagnation), or after ``rank_max`` accepted
     terms. Non-convergence is reported through ``stop_reason``, never raised.
     """
-    if eps <= 0 or tol <= 0:
+    if not (eps > 0 and tol > 0):  # NaN too
         raise ValueError("eps and tol must be positive")
     if rank_max < 1:
         raise ValueError("rank_max must be at least 1")
@@ -341,7 +336,6 @@ def grou(
     if history[0] < eps:
         return GrouReport(x, history, 0, RESIDUAL_BELOW_EPS)
     stop = RANK_MAX_REACHED
-    terms = 0
     deficient_terms = 0
     sweeps = []
     for i in range(rank_max):
@@ -362,7 +356,6 @@ def grou(
         x = x + yv
         r = r_new
         history.append(norm_new)
-        terms += 1
         deficient_terms += y.rank_deficient
         sweeps.append(y.sweeps)
         if norm_new < eps:
@@ -371,7 +364,7 @@ def grou(
         if abs(norm_new - history[-2]) < tol:
             stop = STAGNATION
             break
-    return GrouReport(x, history, terms, stop, deficient_terms, sweeps)
+    return GrouReport(x, history, len(sweeps), stop, deficient_terms, sweeps)
 
 
 def _band_cholesky(a, kd: int):
@@ -472,11 +465,7 @@ def direct_solve(a, b) -> np.ndarray:
     # that width dgbtrf took 0.64-0.71x the time of lu_factor (N = 1024-4096)
     if 2 * kl + ku + 1 > n:
         _require_finite(a, "matrix")
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", linalg.LinAlgWarning)
-            lu, piv = linalg.lu_factor(a, check_finite=False)
-        _require_nonsingular(np.diag(lu), "matrix")
-        return linalg.lu_solve((lu, piv), b, check_finite=False)
+        return linalg.lu_solve(_lu_factor(a, "matrix"), b, check_finite=False)
     cholesky = _band_cholesky(a, kl) if kl == ku else None
     if cholesky is not None:
         factor, sign = cholesky

@@ -72,6 +72,15 @@ def _require_nonsingular(pivots, what: str):
             pivot=pivot_min,
         )
 
+def _lu_factor(a, what: str):
+    """Pivoted dense LU ``(lu, piv)`` of a finite square ``a``; U's pivots checked as above."""
+    linalg = _linalg()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", linalg.LinAlgWarning)
+        lu, piv = linalg.lu_factor(a, check_finite=False)
+    _require_nonsingular(np.diag(lu), what)
+    return lu, piv
+
 
 @dataclass(frozen=True)
 class DimSplit:
@@ -126,6 +135,18 @@ def _as_square_matrix(a, dims) -> tuple[np.ndarray, DimSplit]:
             f"{','.join(map(str, dims.modes))} require size {dims.n}x{dims.n}"
         )
     return m, dims
+
+
+def _as_factors(dims: DimSplit, factors) -> tuple[np.ndarray, ...]:
+    """Float copies of one finite n_i x n_i factor per mode of ``dims``."""
+    factors = tuple(np.array(f, dtype=float) for f in factors)
+    if len(factors) != dims.d:
+        raise ValueError(f"expected {dims.d} factors, got {len(factors)}")
+    for i, (f, n_i) in enumerate(zip(factors, dims.modes)):
+        if f.shape != (n_i, n_i):
+            raise ValueError(f"factor {i} must be {n_i}x{n_i}, got {f.shape}")
+        _require_finite(f, f"factor {i}")
+    return factors
 
 
 def _check_dense_cap(n: int, what: str = "dense materialization"):
@@ -203,13 +224,8 @@ class LaplacianLike:
         alpha = float(self.alpha)
         if not math.isfinite(alpha):
             raise ValueError("alpha must be finite")
-        factors = tuple(np.array(f, dtype=float) for f in self.factors)
-        if len(factors) != dims.d:
-            raise ValueError(f"expected {dims.d} factors, got {len(factors)}")
-        for i, (f, n_i) in enumerate(zip(factors, dims.modes)):
-            if f.shape != (n_i, n_i):
-                raise ValueError(f"factor {i} must be {n_i}x{n_i}, got {f.shape}")
-            _require_finite(f, f"factor {i}")
+        factors = _as_factors(dims, self.factors)
+        for f, n_i in zip(factors, dims.modes):
             shift = float(np.trace(f)) / n_i
             alpha += shift
             f -= shift * np.eye(n_i)
@@ -283,18 +299,9 @@ class FactorGroupElement:
     def __post_init__(self):
         dims = _as_dims(self.dims)
         object.__setattr__(self, "dims", dims)
-        factors = tuple(np.array(f, dtype=float) for f in self.factors)
-        if len(factors) != dims.d:
-            raise ValueError(f"expected {dims.d} factors, got {len(factors)}")
-        linalg = _linalg()
-        for i, (f, n_i) in enumerate(zip(factors, dims.modes)):
-            if f.shape != (n_i, n_i):
-                raise ValueError(f"factor {i} must be {n_i}x{n_i}, got {f.shape}")
-            _require_finite(f, f"factor {i}")
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", linalg.LinAlgWarning)
-                lu, _ = linalg.lu_factor(f)
-            _require_nonsingular(np.diag(lu), f"factor {i}")
+        factors = _as_factors(dims, self.factors)
+        for i, f in enumerate(factors):
+            _lu_factor(f, f"factor {i}")
             f.flags.writeable = False
         object.__setattr__(self, "factors", factors)
 

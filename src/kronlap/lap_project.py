@@ -201,7 +201,7 @@ def laplacian_distance(a, dims, tol: float | None = None) -> MembershipResult:
     """Membership test: project and compare the relative residual to ``tol``."""
     if tol is None:
         tol = get_config().membership_tol
-    if tol <= 0:
+    if not tol > 0:  # NaN too
         raise ValueError("tol must be positive")
     report = project_laplacian(a, dims)
     return MembershipResult(report.relative_residual <= tol, report.relative_residual, report)

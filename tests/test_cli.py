@@ -7,7 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from kronlap import read_matrix_market, write_matrix_market
+import kronlap.cli
+from kronlap import read_matrix_market, use_config, write_matrix_market
 from kronlap.cli import main
 from kronlap.kron_core import embed
 from kronlap.poisson import poisson1d_stencil
@@ -107,6 +108,31 @@ class TestDecompose:
         assert code == 2
         assert not out.exists()
 
+    def test_membership_threshold_is_the_configured_one(self, tmp_path, adjacency6):
+        a = adjacency6.copy()
+        a[0, 5] += 1e-12  # off every mode's support: relative residual about 2e-13
+        src = tmp_path / "a.mtx"
+        out = tmp_path / "r.json"
+        write_matrix_market(src, a)
+        argv = ["decompose", "--input", str(src), "--dims", "2,3", "--output", str(out)]
+        assert run(*argv) == 0
+        assert json.loads(out.read_text())["is_member"] is True
+        with use_config(membership_tol=1e-20):
+            assert run(*argv) == 0
+            assert json.loads(out.read_text())["is_member"] is False
+            assert run(*argv, "--tol", "1e-8") == 0  # an explicit --tol overrides the config
+            assert json.loads(out.read_text())["is_member"] is True
+
+    @pytest.mark.parametrize("tol", ["0", "-1.0", "nan"])
+    def test_bad_tol_exit_2(self, tmp_path, adjacency6, tol, capsys):
+        src = tmp_path / "a.mtx"
+        out = tmp_path / "r.json"
+        write_matrix_market(src, adjacency6)
+        code = run("decompose", "--input", str(src), "--dims", "2,3", "--tol", tol, "--output", str(out))
+        assert code == 2
+        assert "tol must be positive" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_dims_mismatch_exit_2(self, tmp_path, adjacency6, capsys):
         src = tmp_path / "a.mtx"
         write_matrix_market(src, adjacency6)
@@ -188,6 +214,31 @@ class TestSolve:
         assert code == 0
         sidecar = json.loads((tmp_path / "x.mtx.json").read_text())
         assert sidecar["method"] == "grou_dense"
+
+    @pytest.mark.parametrize("flags, passed", [
+        ([], {}),
+        (["--eps", "1e-3", "--seed", "7"], {"eps": 1e-3, "seed": 7}),
+        (["--eps", "1e-6", "--tol", "2.22e-6", "--rank-max", "3000", "--als-iter-max", "15",
+          "--seed", "0"], {"eps": 1e-6, "tol": 2.22e-6, "rank_max": 3000, "als_iter_max": 15, "seed": 0}),
+    ], ids=["none", "some", "all"])
+    def test_grou_gets_only_the_flags_given(self, tmp_path, monkeypatch, flags, passed):
+        seen = []
+        real = kronlap.cli.grou
+
+        def spy(op, b, **kwargs):
+            seen.append(kwargs)
+            return real(op, b, **kwargs)
+
+        monkeypatch.setattr(kronlap.cli, "grou", spy)
+        am = tmp_path / "a.mtx"
+        bm = tmp_path / "b.mtx"
+        write_matrix_market(am, np.eye(6))
+        write_matrix_market(bm, np.ones((6, 1)))
+        code = run("solve", "--matrix", str(am), "--rhs", str(bm), "--dims", "2,3", *flags,
+                   "--output", str(tmp_path / "x.mtx"))
+        assert code == 0
+        assert seen == [passed]
+        assert all(type(v) is type(passed[k]) for k, v in seen[0].items())
 
     def test_singular_direct_exit_3(self, tmp_path, capsys):
         am = tmp_path / "a.mtx"

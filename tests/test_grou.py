@@ -58,6 +58,30 @@ class TestRankOneVector:
         with pytest.raises(ValueError):
             RankOneVector((2, 3), (np.ones(3), np.ones(3)))
 
+    @pytest.mark.parametrize("k", [-1070, -700, 700, 1000])
+    def test_factor_far_from_unit_size_is_kept(self, k):
+        # the plain norm of 2^k * ones(3) underflows to 0 or overflows to inf
+        v = RankOneVector((2, 3), (np.ones(2), 2.0**k * np.ones(3)))
+        np.testing.assert_array_equal(v.factors[1], np.ones(3) / np.sqrt(3.0))
+        np.testing.assert_array_equal(v.factors[0], np.sqrt(3.0) * 2.0**k * np.ones(2))
+
+    def test_norms_far_from_unit_size_do_not_overflow_their_product(self):
+        # the norms 2^601 of ones(4) * 2^600 multiply to 2^1202, past the float range
+        v = RankOneVector((2, 4, 4), (2.0**-900 * np.ones(2), 2.0**600 * np.ones(4), 2.0**600 * np.ones(4)))
+        np.testing.assert_array_equal(v.factors[0], np.full(2, 2.0**302))
+        np.testing.assert_array_equal(v.to_vector(), np.full(32, 2.0**300))
+
+    @settings(max_examples=100, deadline=None)
+    @given(modes=st.lists(st.integers(2, 4), min_size=2, max_size=3), seed=st.integers(0, 2**32 - 1))
+    def test_normalization_bit_equal_to_plain_norms(self, modes, seed):
+        rng = np.random.default_rng(seed)
+        fs = [rng.standard_normal(m) for m in modes]
+        norms = [np.linalg.norm(f) for f in fs[1:]]
+        v = RankOneVector(tuple(modes), tuple(fs))
+        for f, g, m in zip(v.factors[1:], fs[1:], norms):
+            assert f.tobytes() == (g / m).tobytes()
+        assert v.factors[0].tobytes() == (fs[0] * np.prod(norms)).tobytes()
+
     @settings(max_examples=100, deadline=None)
     @given(
         # DimSplit admits a mode of size 1 only when d = 1
@@ -113,6 +137,16 @@ class TestAlsRankOne:
     def test_zero_residual(self):
         y = als_rank_one(identity_op((2, 3)), np.zeros(6))
         np.testing.assert_array_equal(y.to_vector(), np.zeros(6))
+
+    @pytest.mark.parametrize("scale", [1e-170, 1e-160, 1e160])
+    def test_residual_far_from_unit_size(self, scale):
+        # the norm of r underflowed (the zero vector came back) or overflowed
+        op = LinearOperator.from_laplacian(build_poisson(4).operator)
+        r = np.random.default_rng(0).standard_normal(64)
+        y = als_rank_one(op, r)
+        ys = als_rank_one(op, scale * r)
+        assert ys.sweeps == y.sweeps
+        np.testing.assert_allclose(ys.to_vector() / scale, y.to_vector(), rtol=1e-12)
 
     def test_objective_never_worse_than_zero_fit(self):
         rng = np.random.default_rng(3)
@@ -190,6 +224,12 @@ class TestGrou:
             grou(identity_op((2, 3)), np.ones(5))
         with pytest.raises(ValueError):
             grou(identity_op((2, 3)), np.ones(6), eps=0.0)
+
+    @pytest.mark.parametrize("stop", ["eps", "tol"])
+    def test_nan_stop_rejected(self, stop):
+        # a NaN eps or tol never fires, so the solve ran on past its stop
+        with pytest.raises(ValueError, match="eps and tol must be positive"):
+            grou(identity_op((2, 3)), np.ones(6), **{stop: float("nan")})
 
 
 def dense_twin(lap):

@@ -230,15 +230,6 @@ class TestLaplacianLike:
         dense = 0.5 * np.eye(6) + embed(0, f1, (2, 3)) + embed(1, f2, (2, 3))
         np.testing.assert_allclose(lap_to_dense(lap), dense, atol=1e-12)
 
-    def test_factor_shape_checked(self):
-        with pytest.raises(ValueError):
-            LaplacianLike.from_factors((2, 3), (np.eye(3), np.eye(3)))
-
-    def test_rejects_non_finite(self):
-        bad = np.array([[np.nan, 0.0], [0.0, 0.0]])
-        with pytest.raises(ValueError):
-            LaplacianLike.from_factors((2, 3), (bad, np.zeros((3, 3))))
-
     def test_adjacency_reconstruction_exact(self, adjacency6):
         lap = LaplacianLike((2, 3), 0.0, (ADJ6_X1, ADJ6_X2))
         np.testing.assert_array_equal(lap_to_dense(lap), adjacency6)
@@ -367,6 +358,40 @@ class TestExponential:
         with use_config(dense_cap=3):
             with pytest.raises(SizeLimitError):
                 dense_exp(np.zeros((4, 4)))
+
+
+# both factor forms run one set of factor checks
+FACTOR_FORMS = [
+    pytest.param(LaplacianLike.from_factors, id="LaplacianLike"),
+    pytest.param(FactorGroupElement, id="FactorGroupElement"),
+]
+
+
+class TestFactorChecks:
+    @pytest.mark.parametrize("make", FACTOR_FORMS)
+    def test_factor_shape_checked(self, make):
+        with pytest.raises(ValueError, match=r"^factor 0 must be 2x2, got \(3, 3\)$"):
+            make((2, 3), (np.eye(3), np.eye(3)))
+
+    @pytest.mark.parametrize("make", FACTOR_FORMS)
+    def test_factor_count_checked(self, make):
+        with pytest.raises(ValueError, match="^expected 2 factors, got 3$"):
+            make((2, 3), (np.eye(2), np.eye(3), np.eye(3)))
+
+    @pytest.mark.parametrize("make", FACTOR_FORMS)
+    def test_rejects_non_finite(self, make):
+        f = np.eye(3)
+        f[2, 1] = np.nan
+        with pytest.raises(ValueError, match="^factor 1 contains non-finite entries$"):
+            make((2, 3), (np.eye(2), f))
+
+    @pytest.mark.parametrize("make", FACTOR_FORMS)
+    def test_factors_are_read_only_copies(self, make):
+        f = np.eye(2)
+        g = make((2, 2), (f, np.eye(2))).factors[0]
+        assert g is not f and not g.flags.writeable
+        f[0, 0] = 5.0
+        assert g[0, 0] != 5.0
 
 
 class TestFactorGroupElement:

@@ -419,3 +419,8 @@ class TestMembership:
     def test_rejects_bad_tol(self):
         with pytest.raises(ValueError):
             laplacian_distance(np.eye(6), (2, 3), tol=0.0)
+
+    def test_rejects_nan_tol(self):
+        # with a NaN threshold every comparison is false, so a member read as a non-member
+        with pytest.raises(ValueError, match="tol must be positive"):
+            laplacian_distance(np.eye(6), (2, 3), tol=float("nan"))
