@@ -5,7 +5,6 @@ of identity-padded single-mode factors, and solves linear systems with a
 greedy rank-one update method whose inner step is alternating least squares.
 """
 
-from .config import NumericConfig, default_config, get_config, set_config, use_config
 from .errors import (
     KronlapError,
     MatrixMarketError,
@@ -62,7 +61,6 @@ __all__ = [
     "LinearOperator",
     "MatrixMarketError",
     "MembershipResult",
-    "NumericConfig",
     "PoissonProblem",
     "ProjectionReport",
     "RANK_MAX_REACHED",
@@ -73,12 +71,10 @@ __all__ = [
     "SizeLimitError",
     "als_rank_one",
     "build_poisson",
-    "default_config",
     "direct_solve",
     "embed",
     "exact_solution",
     "forcing",
-    "get_config",
     "grou",
     "identity_component",
     "lap_exp",
@@ -91,7 +87,5 @@ __all__ = [
     "poisson1d_stencil",
     "project_laplacian",
     "read_matrix_market",
-    "set_config",
-    "use_config",
     "write_matrix_market",
 ]

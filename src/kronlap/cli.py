@@ -45,8 +45,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("decompose", help="project a matrix onto the Laplacian-like subspace")
     p.add_argument("--input", required=True, help="Matrix Market file with the square matrix")
     p.add_argument("--dims", required=True, type=_dims_arg, help="mode sizes, e.g. 2,3,5")
-    p.add_argument("--tol", type=float, help="membership threshold on the relative residual "
-                   "||A - P||_F / ||A||_F (default: the configured membership_tol)")
+    p.add_argument("--tol", type=float, default=argparse.SUPPRESS,
+                   help="membership threshold on the relative residual ||A - P||_F / ||A||_F "
+                   "(default: that of the laplacian_distance function)")
     p.add_argument("--output", required=True, help="JSON report path")
 
     # a flag without a default that is not given is absent from args, so
@@ -91,7 +92,8 @@ def _read_vector(path, n: int) -> np.ndarray:
 
 def _cmd_decompose(args) -> int:
     a, dims = _as_square_matrix(read_matrix_market(args.input), args.dims)
-    is_member, _, report = laplacian_distance(a, dims, args.tol)
+    options = {"tol": args.tol} if "tol" in args else {}
+    is_member, _, report = laplacian_distance(a, dims, **options)
     payload = {
         "dims": list(dims.modes),
         "alpha": report.projection.alpha,

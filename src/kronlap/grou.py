@@ -317,12 +317,11 @@ def grou(
     Repeatedly fits a rank-one correction to the residual by ALS and subtracts
     it. Each fit runs at most ``als_iter_max`` sweeps and ends earlier once a
     sweep lowers its objective by at most ``_ALS_REL_TOL`` (1e-4) times the
-    previous sweep's, not by the absolute default rule of
-    :func:`als_rank_one`, which lets almost every fit run to the cap; the
-    sweeps of each accepted term are reported in ``als_sweeps``. Stops when
-    the residual norm falls below ``eps``, when consecutive residual norms
-    differ by less than ``tol`` (stagnation), or after ``rank_max`` accepted
-    terms. Non-convergence is reported through ``stop_reason``, never raised.
+    previous sweep's; the sweeps of each accepted term are reported in
+    ``als_sweeps``. Stops when the residual norm falls below ``eps``, when
+    consecutive residual norms differ by less than ``tol`` (stagnation), or
+    after ``rank_max`` accepted terms. Non-convergence is reported through
+    ``stop_reason``, never raised.
     """
     if not (eps > 0 and tol > 0):  # NaN too
         raise ValueError("eps and tol must be positive")
@@ -450,7 +449,7 @@ def direct_solve(a, b) -> np.ndarray:
     only their copied band.
 
     Raises SingularMatrixError, on every path, when the smallest pivot is zero
-    or at most the configured ``pivot_tol`` times the largest; the test is
+    or at most ``kron_core._PIVOT_TOL`` times the largest; the test is
     relative, so it does not depend on the scale of A.
     """
     a = _as_matrix(a, "matrix")

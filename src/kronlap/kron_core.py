@@ -7,6 +7,7 @@ Mode indices are 0-based throughout.
 """
 
 import math
+import os
 import warnings
 from dataclasses import dataclass
 from functools import cache, reduce
@@ -14,7 +15,6 @@ from functools import cache, reduce
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .config import get_config
 from .errors import SingularMatrixError, SizeLimitError
 
 
@@ -56,8 +56,10 @@ def _require_finite(m, name="matrix") -> float:
         raise ValueError(f"{name} contains non-finite entries")
     return max(-lo, hi)
 
+_PIVOT_TOL = 1e-12  # relative pivot threshold for singularity detection
+
 def _require_nonsingular(pivots, what: str):
-    """Raise SingularMatrixError when min |u_ii| <= pivot_tol * max |u_ii|.
+    """Raise SingularMatrixError when min |u_ii| <= _PIVOT_TOL * max |u_ii|.
 
     ``pivots`` is the diagonal of an LU factor U. The test is relative, so it
     does not depend on the scale of the matrix; an exact zero pivot and an
@@ -66,7 +68,7 @@ def _require_nonsingular(pivots, what: str):
     piv = np.abs(pivots)
     pivot_min = float(piv.min()) if piv.size else 0.0
     pivot_max = float(piv.max()) if piv.size else 0.0
-    if pivot_min == 0.0 or pivot_min <= get_config().pivot_tol * pivot_max:
+    if pivot_min == 0.0 or pivot_min <= _PIVOT_TOL * pivot_max:
         raise SingularMatrixError(
             f"{what} is singular to tolerance (min pivot {pivot_min:.3e})",
             pivot=pivot_min,
@@ -150,8 +152,18 @@ def _as_factors(dims: DimSplit, factors) -> tuple[np.ndarray, ...]:
 
 
 def _check_dense_cap(n: int, what: str = "dense materialization"):
-    """Raise SizeLimitError when an n x n dense result would exceed the configured cap."""
-    cap = get_config().dense_cap
+    """Raise SizeLimitError when an n x n dense result would exceed the cap.
+
+    The cap is the max side of a materialized N x N matrix: 4096, or the
+    positive integer in ``KRONLAP_DENSE_CAP``, read on each call.
+    """
+    text = os.environ.get("KRONLAP_DENSE_CAP", "4096")
+    try:
+        cap = int(text)
+    except ValueError:
+        cap = 0
+    if cap < 1:
+        raise ValueError(f"KRONLAP_DENSE_CAP must be a positive integer, got {text!r}")
     if n > cap:
         raise SizeLimitError(f"{what} of size {n} exceeds the configured cap {cap}")
 

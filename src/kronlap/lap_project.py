@@ -21,7 +21,6 @@ from typing import NamedTuple
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .config import get_config
 from .kron_core import (
     LaplacianLike,
     _as_matrix,
@@ -186,7 +185,7 @@ def project_delta_sweeps(a, dims, iter_max: int = 10, tol: float = 1e-8) -> Proj
     """
     if iter_max < 1:
         raise ValueError("iter_max must be at least 1")
-    if tol <= 0:
+    if not tol > 0:  # NaN too
         raise ValueError("tol must be positive")
     return ProjectionReport(*_project(a, dims), 1, "iterative")
 
@@ -197,10 +196,8 @@ class MembershipResult(NamedTuple):
     report: ProjectionReport
 
 
-def laplacian_distance(a, dims, tol: float | None = None) -> MembershipResult:
+def laplacian_distance(a, dims, tol: float = 1e-8) -> MembershipResult:
     """Membership test: project and compare the relative residual to ``tol``."""
-    if tol is None:
-        tol = get_config().membership_tol
     if not tol > 0:  # NaN too
         raise ValueError("tol must be positive")
     report = project_laplacian(a, dims)

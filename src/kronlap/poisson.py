@@ -28,7 +28,7 @@ def poisson1d_stencil(n: int, h: float) -> np.ndarray:
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    if h <= 0:
+    if not h > 0:  # NaN too
         raise ValueError("h must be positive")
     m = np.zeros((n, n))
     np.fill_diagonal(m, -2.0 / h**2)

@@ -19,7 +19,8 @@ from itertools import product
 import numpy as np
 import scipy.linalg
 
-from kronlap import SizeLimitError, embed, get_config, partial_trace
+from kronlap import embed, partial_trace
+from kronlap.kron_core import _check_dense_cap
 
 
 def frobenius_inner(a, b) -> float:
@@ -115,7 +116,7 @@ def dense_exp(a, tol: float = 1e-12) -> np.ndarray:
 
     A desk-scale reference routine, not a production exponential: the series is
     summed until the next term is below ``tol`` relative to the running sum,
-    then the result is squared back up. Honors the configured dense cap.
+    then the result is squared back up. Honors the dense cap.
     """
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -123,9 +124,7 @@ def dense_exp(a, tol: float = 1e-12) -> np.ndarray:
     if tol <= 0:
         raise ValueError("tol must be positive")
     n = a.shape[0]
-    cap = get_config().dense_cap
-    if n > cap:
-        raise SizeLimitError(f"dense exponential of size {n} exceeds the configured cap {cap}")
+    _check_dense_cap(n, "dense exponential")
     norm = np.linalg.norm(a, 1)
     squarings = max(0, int(np.ceil(np.log2(norm)))) if norm > 1.0 else 0
     b = a / (2.0 ** squarings)

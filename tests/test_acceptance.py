@@ -4,8 +4,10 @@ Run with `pytest -s tests/test_acceptance.py -v` to see the lines as they
 print; without -s they still appear in captured output on failure.
 """
 
+import os
 import time
 from contextlib import contextmanager
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -22,7 +24,6 @@ from kronlap import (
     lap_to_dense,
     lie_bracket,
     project_laplacian,
-    use_config,
 )
 
 from conftest import (
@@ -169,7 +170,7 @@ def test_criterion_6_grou_matches_direct(n):
 def test_criterion_7_structured_path_never_materializes():
     with criterion(7, "n=12 structured solve under a dense cap below N"):
         problem = build_poisson(12)  # N = 1728
-        with use_config(dense_cap=1000):
+        with mock.patch.dict(os.environ, {"KRONLAP_DENSE_CAP": "1000"}):
             with pytest.raises(SizeLimitError):
                 lap_to_dense(problem.operator)
             op = LinearOperator.from_laplacian(problem.operator)

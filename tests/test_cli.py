@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import kronlap.cli
-from kronlap import read_matrix_market, use_config, write_matrix_market
+from kronlap import read_matrix_market, write_matrix_market
 from kronlap.cli import main
 from kronlap.kron_core import embed
 from kronlap.poisson import poisson1d_stencil
@@ -108,20 +108,17 @@ class TestDecompose:
         assert code == 2
         assert not out.exists()
 
-    def test_membership_threshold_is_the_configured_one(self, tmp_path, adjacency6):
+    def test_membership_threshold_default_and_flag(self, tmp_path, adjacency6):
         a = adjacency6.copy()
         a[0, 5] += 1e-12  # off every mode's support: relative residual about 2e-13
         src = tmp_path / "a.mtx"
         out = tmp_path / "r.json"
         write_matrix_market(src, a)
         argv = ["decompose", "--input", str(src), "--dims", "2,3", "--output", str(out)]
-        assert run(*argv) == 0
+        assert run(*argv) == 0  # laplacian_distance's default threshold
         assert json.loads(out.read_text())["is_member"] is True
-        with use_config(membership_tol=1e-20):
-            assert run(*argv) == 0
-            assert json.loads(out.read_text())["is_member"] is False
-            assert run(*argv, "--tol", "1e-8") == 0  # an explicit --tol overrides the config
-            assert json.loads(out.read_text())["is_member"] is True
+        assert run(*argv, "--tol", "1e-20") == 0
+        assert json.loads(out.read_text())["is_member"] is False
 
     @pytest.mark.parametrize("tol", ["0", "-1.0", "nan"])
     def test_bad_tol_exit_2(self, tmp_path, adjacency6, tol, capsys):
@@ -301,6 +298,19 @@ class TestGen:
         assert run("gen", "--kind", kind, "--dims", "2,3", "--output", str(f)) == 2
         assert "size 6 exceeds the configured cap 4" in capsys.readouterr().err
         assert not f.exists()
+
+    @pytest.mark.parametrize("value", ["abc", "0", "-3"])
+    @pytest.mark.parametrize("command", ["decompose", "gen"])
+    def test_bad_dense_cap_env_exit_2(self, value, command, tmp_path, adjacency6, monkeypatch, capsys):
+        src = tmp_path / "a.mtx"
+        write_matrix_market(src, adjacency6)
+        monkeypatch.setenv("KRONLAP_DENSE_CAP", value)
+        out = tmp_path / "out"
+        argv = (["decompose", "--input", str(src)] if command == "decompose"
+                else ["gen", "--kind", "dense"])
+        assert run(*argv, "--dims", "2,3", "--output", str(out)) == 2
+        assert f"KRONLAP_DENSE_CAP must be a positive integer, got '{value}'" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_gen_requires_dims(self, tmp_path):
         assert run("gen", "--kind", "dense", "--output", str(tmp_path / "d.mtx")) == 2

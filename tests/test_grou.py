@@ -1,5 +1,6 @@
 import importlib
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,14 +16,14 @@ from kronlap import (
     RESIDUAL_BELOW_EPS,
     STAGNATION,
     SingularMatrixError,
+    SizeLimitError,
     als_rank_one,
     build_poisson,
     direct_solve,
-    get_config,
     grou,
     lap_to_dense,
-    use_config,
 )
+from kronlap import kron_core
 
 from conftest import LAYOUTS, random_laplacian_like
 from oracles import (
@@ -314,7 +315,8 @@ class TestStructuredModeStep:
         assert np.linalg.norm(rep.x - ref) <= 1e-10 * np.linalg.norm(ref)
         # N = 32768 is above the dense cap, so only the residual is checked
         problem = build_poisson(32)
-        assert problem.operator.n > get_config().dense_cap
+        with pytest.raises(SizeLimitError):
+            lap_to_dense(problem.operator)
         rep = grou(LinearOperator.from_laplacian(problem.operator), problem.rhs, rank_max=1)
         assert rep.terms_used == 1
         assert rep.residual_history[-1] <= 1e-13 * rep.residual_history[0]
@@ -411,7 +413,7 @@ class TestDirectSolve:
     @pytest.mark.parametrize("a", [np.array([[1.0, 2.0], [2.0, 4.0]]), np.diag([1.0, 0.0, 2.0])])
     def test_zero_pivot_tol_still_rejects_exact_zero_pivot(self, a):
         # the 2 x 2 matrix takes the dense path, the diagonal one the band path
-        with use_config(pivot_tol=0.0), pytest.raises(SingularMatrixError) as err:
+        with mock.patch.object(kron_core, "_PIVOT_TOL", 0.0), pytest.raises(SingularMatrixError) as err:
             direct_solve(a, np.ones(a.shape[0]))
         assert err.value.pivot == 0.0
 
@@ -529,12 +531,12 @@ class TestBandDirectSolve:
         gamma = 3 * n * np.finfo(float).eps / (1 - 3 * n * np.finfo(float).eps)
         with pytest.MonkeyPatch.context() as mp:
             calls = spy_factorizations(mp)
-            with use_config(pivot_tol=np.inf):  # every solve reports its min pivot
+            with mock.patch.object(kron_core, "_PIVOT_TOL", np.inf):  # every solve reports its min pivot
                 with pytest.raises(SingularMatrixError) as err:
                     direct_solve(a, b)
             # same pivot rows, so each |u_ii| differs by rounding only
             assert abs(err.value.pivot - pivots.min()) <= 2 * gamma * lu_norm
-            if pivots.min() == 0.0 or pivots.min() <= get_config().pivot_tol * pivots.max():
+            if pivots.min() == 0.0 or pivots.min() <= kron_core._PIVOT_TOL * pivots.max():
                 with pytest.raises(SingularMatrixError):
                     direct_solve(a, b)
             else:
@@ -612,7 +614,7 @@ class TestBandCholesky:
         definite = d.min() > 0.0
         with pytest.MonkeyPatch.context() as mp:
             calls = spy_factorizations(mp)
-            with use_config(pivot_tol=np.inf):  # every solve reports its min pivot
+            with mock.patch.object(kron_core, "_PIVOT_TOL", np.inf):  # every solve reports its min pivot
                 with pytest.raises(SingularMatrixError) as err:
                     direct_solve(a, b)
             assert calls == factorizations_for(values)
@@ -628,7 +630,7 @@ class TestBandCholesky:
                 assert abs(err.value.pivot - lu_pivots.min()) <= 2 * _gamma(3 * n) * lu_norm
                 pivots = lu_pivots
                 own_err = _gamma(3 * n) * lu_norm
-            if pivots.min() <= get_config().pivot_tol * pivots.max():
+            if pivots.min() <= kron_core._PIVOT_TOL * pivots.max():
                 with pytest.raises(SingularMatrixError):
                     direct_solve(a, b)
             else:

@@ -1,4 +1,6 @@
+import os
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,8 +19,8 @@ from kronlap import (
     lap_to_dense,
     lie_bracket,
     partial_trace,
-    use_config,
 )
+from kronlap import kron_core
 from kronlap.kron_core import _require_finite
 
 from conftest import ADJ6_X1, ADJ6_X2, LAYOUTS, SPARSE30_ALPHA, SPARSE30_X1, SPARSE30_X2, SPARSE30_X3, random_laplacian_like
@@ -78,7 +80,7 @@ class TestEmbed:
             embed(0, np.eye(3), (2, 3))
 
     def test_dense_cap(self):
-        with use_config(dense_cap=5):
+        with mock.patch.dict(os.environ, {"KRONLAP_DENSE_CAP": "5"}):
             with pytest.raises(SizeLimitError):
                 embed(0, np.eye(2), (2, 3))
 
@@ -240,7 +242,7 @@ class TestLaplacianLike:
 
     def test_dense_cap(self):
         lap = LaplacianLike.zeros((4, 4, 4), alpha=1.0)
-        with use_config(dense_cap=63):
+        with mock.patch.dict(os.environ, {"KRONLAP_DENSE_CAP": "63"}):
             with pytest.raises(SizeLimitError):
                 lap_to_dense(lap)
 
@@ -355,7 +357,7 @@ class TestExponential:
         np.testing.assert_allclose(got, np.array([[1.0, 1.0], [0.0, 1.0]]), atol=1e-15)
 
     def test_dense_exp_cap(self):
-        with use_config(dense_cap=3):
+        with mock.patch.dict(os.environ, {"KRONLAP_DENSE_CAP": "3"}):
             with pytest.raises(SizeLimitError):
                 dense_exp(np.zeros((4, 4)))
 
@@ -400,7 +402,7 @@ class TestFactorGroupElement:
             FactorGroupElement((2, 3), (np.zeros((2, 2)), np.eye(3)))
 
     def test_zero_pivot_tol_still_rejects_exact_zero_pivot(self):
-        with use_config(pivot_tol=0.0), pytest.raises(SingularMatrixError, match="factor 1") as err:
+        with mock.patch.object(kron_core, "_PIVOT_TOL", 0.0), pytest.raises(SingularMatrixError, match="factor 1") as err:
             FactorGroupElement((2, 2), (np.eye(2), np.array([[1.0, 2.0], [2.0, 4.0]])))
         assert err.value.pivot == 0.0
 

@@ -206,6 +206,10 @@ class TestSweeps:
             with pytest.raises(ValueError):
                 project_delta_sweeps(np.eye(6), (2, 3), **kwargs)
 
+    def test_rejects_nan_tol(self):
+        with pytest.raises(ValueError, match="tol must be positive"):
+            project_delta_sweeps(np.eye(6), (2, 3), tol=float("nan"))
+
     def test_identity_input_gives_alpha(self):
         rep = project_delta_sweeps(np.eye(6), (2, 3))
         assert rep.projection.alpha == 1.0

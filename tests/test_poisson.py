@@ -35,6 +35,10 @@ class TestStencil:
         with pytest.raises(ValueError):
             poisson1d_stencil(3, 0.0)
 
+    def test_rejects_nan_h(self):
+        with pytest.raises(ValueError, match="h must be positive"):
+            poisson1d_stencil(3, float("nan"))
+
 
 class TestAnalyticFields:
     def test_center_is_zero(self):
