@@ -22,7 +22,6 @@ from .kron_core import (
     _as_matrix,
     _as_square_matrix,
     _as_vector,
-    _check_dense_cap,
     _linalg,
     _lu_factor,
     _require_finite,
@@ -104,14 +103,17 @@ class LinearOperator:
     """
 
     def __init__(self, dims: DimSplit, matrix=None, laplacian=None):
-        self.dims = _as_dims(dims)
-        self._matrix = matrix
-        self._laplacian = laplacian
+        if (matrix is None) == (laplacian is None):
+            raise ValueError("a LinearOperator takes exactly one of matrix and laplacian")
+        if matrix is not None:
+            matrix, dims = _as_square_matrix(matrix, dims)
+            _require_finite(matrix, "matrix")
+        elif laplacian.dims != (dims := _as_dims(dims)):
+            raise ValueError(f"laplacian has dims {laplacian.dims.modes}, expected {dims.modes}")
+        self.dims, self._matrix, self._laplacian = dims, matrix, laplacian
 
     @classmethod
     def from_dense(cls, a, dims) -> "LinearOperator":
-        a, dims = _as_square_matrix(a, dims)
-        _require_finite(a, "matrix")
         return cls(dims, matrix=a)
 
     @classmethod
@@ -455,7 +457,6 @@ def direct_solve(a, b) -> np.ndarray:
     a = _as_matrix(a, "matrix")
     _require_square(a)
     n = a.shape[0]
-    _check_dense_cap(n, "direct solve")
     b = _as_vector(b, n, "right-hand side")
     _require_finite(b, "right-hand side")
     linalg = _linalg()

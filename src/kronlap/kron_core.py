@@ -151,21 +151,20 @@ def _as_factors(dims: DimSplit, factors) -> tuple[np.ndarray, ...]:
     return factors
 
 
-def _check_dense_cap(n: int, what: str = "dense materialization"):
-    """Raise SizeLimitError when an n x n dense result would exceed the cap.
+def _check_dense_cap(n: int):
+    """Raise SizeLimitError when an n x n dense array about to be built exceeds the cap.
 
-    The cap is the max side of a materialized N x N matrix: 4096, or the
-    positive integer in ``KRONLAP_DENSE_CAP``, read on each call.
+    Checked only before building from something smaller, never on a caller's array. The cap
+    is 4096, or the positive integer in ``KRONLAP_DENSE_CAP``, read on each call.
     """
     text = os.environ.get("KRONLAP_DENSE_CAP", "4096")
     try:
-        cap = int(text)
+        if (cap := int(text)) < 1:
+            raise ValueError
     except ValueError:
-        cap = 0
-    if cap < 1:
-        raise ValueError(f"KRONLAP_DENSE_CAP must be a positive integer, got {text!r}")
+        raise ValueError(f"KRONLAP_DENSE_CAP must be a positive integer, got {text!r}") from None
     if n > cap:
-        raise SizeLimitError(f"{what} of size {n} exceeds the configured cap {cap}")
+        raise SizeLimitError(f"dense materialization of size {n} exceeds the configured cap {cap}")
 
 
 def _mode_blocks(m: np.ndarray, dims: DimSplit, i: int) -> np.ndarray:

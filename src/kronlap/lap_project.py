@@ -25,7 +25,6 @@ from .kron_core import (
     LaplacianLike,
     _as_matrix,
     _as_square_matrix,
-    _check_dense_cap,
     _mode_blocks,
     _require_finite,
     _require_square,
@@ -140,7 +139,6 @@ def _project(a, dims):
     2^-e, exactly; so 2^k * A gets the relative residual of A at any k.
     """
     a, dims = _as_square_matrix(a, dims)
-    _check_dense_cap(dims.n)
     total_sq, off_sq = _square_sums(a, dims)
     e = 0
     if not _SAFE_SQ_MIN <= total_sq <= _SAFE_SQ_MAX:

@@ -19,7 +19,7 @@ from itertools import chain, islice
 import numpy as np
 
 from .errors import MatrixMarketError
-from .kron_core import _as_matrix, _require_finite
+from .kron_core import _as_matrix, _check_dense_cap, _require_finite
 
 _BANNER = "%%MatrixMarket"
 
@@ -88,6 +88,7 @@ def read_matrix_market(path) -> np.ndarray:
     values go through ``float`` into one array, coordinate entries into an
     (nnz, 3) table; counts, finiteness and index ranges are checked on the
     whole. A file this pass rejects is read again to name the offending line.
+    A size line of more than cap^2 entries raises SizeLimitError before the body is read.
     """
     with open(path, "r") as raw:
         # a rejected body is read again from its start, so input that cannot seek is held
@@ -108,6 +109,7 @@ def read_matrix_market(path) -> np.ndarray:
             raise MatrixMarketError(f"negative size in {size_line!r}", line=size_number)
         if symmetry == "symmetric" and dims[0] != dims[1]:
             raise MatrixMarketError("symmetric matrix must be square", line=size_number)
+        _check_dense_cap(math.isqrt(max(dims[0] * dims[1] - 1, 0)) + 1)  # ceil(sqrt(rows * cols))
 
         # every chunk ends at a newline, so no line spans two chunks
         chunks = iter(lambda: fh.read(1 << 16) + fh.readline(), "")

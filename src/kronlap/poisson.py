@@ -28,8 +28,8 @@ def poisson1d_stencil(n: int, h: float) -> np.ndarray:
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    if not h > 0:  # NaN too
-        raise ValueError("h must be positive")
+    if not 0 < h < np.inf:  # NaN too
+        raise ValueError("h must be positive and finite")
     m = np.zeros((n, n))
     np.fill_diagonal(m, -2.0 / h**2)
     idx = np.arange(n - 1)

@@ -124,7 +124,7 @@ def dense_exp(a, tol: float = 1e-12) -> np.ndarray:
     if tol <= 0:
         raise ValueError("tol must be positive")
     n = a.shape[0]
-    _check_dense_cap(n, "dense exponential")
+    _check_dense_cap(n)
     norm = np.linalg.norm(a, 1)
     squarings = max(0, int(np.ceil(np.log2(norm)))) if norm > 1.0 else 0
     b = a / (2.0 ** squarings)

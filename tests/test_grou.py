@@ -101,6 +101,16 @@ class TestLinearOperator:
         with pytest.raises(ValueError):
             LinearOperator.from_dense(np.eye(5), (2, 3))
 
+    def test_bad_constructions(self):
+        lap = LaplacianLike.zeros((2, 3), alpha=1.0)
+        for kinds in ({}, {"matrix": np.eye(6), "laplacian": lap}):
+            with pytest.raises(ValueError, match="exactly one of matrix and laplacian"):
+                LinearOperator((2, 3), **kinds)
+        with pytest.raises(ValueError, match="matrix is 7x7 but dims 2,3 require size 6x6"):
+            LinearOperator((2, 3), matrix=np.ones((7, 7)))
+        with pytest.raises(ValueError, match="laplacian has dims"):
+            LinearOperator((3, 2), laplacian=lap)
+
     def test_kinds_agree(self):
         rng = np.random.default_rng(0)
         lap = random_laplacian_like((2, 3), rng)
@@ -432,6 +442,23 @@ class TestDirectSolve:
         np.testing.assert_allclose(scale * x, np.linalg.solve(a, b), rtol=1e-13)
         with pytest.raises(SingularMatrixError):
             direct_solve(scale * near, b)
+
+    @pytest.mark.parametrize("kind", ["cholesky", "band", "dense"])
+    def test_no_dense_cap_on_held_arrays(self, kind, monkeypatch):
+        # the cap bounds arrays kronlap builds; a 125 x 125 array the caller holds is solved under cap 64
+        rng = np.random.default_rng(5)
+        a = {
+            "cholesky": lap_to_dense(build_poisson(5).operator),
+            "band": tridiagonal(rng.uniform(3.0, 4.0, 125)) + 2.0 * np.eye(125, k=1),
+            "dense": rng.standard_normal((125, 125)) + 125.0 * np.eye(125),
+        }[kind]
+        b = rng.standard_normal(125)
+        x_ref = lu_by_dense_factor(a, b)[0]
+        monkeypatch.setenv("KRONLAP_DENSE_CAP", "64")
+        calls = spy_factorizations(monkeypatch)
+        x = direct_solve(a, b)
+        assert [c[0] for c in calls] == [kind]
+        assert np.linalg.norm(x - x_ref) <= 1e-10 * np.linalg.norm(x_ref)
 
     def test_empty_system_is_singular(self):
         with pytest.raises(SingularMatrixError) as err:

@@ -151,6 +151,20 @@ class TestClosedFormProjection:
         rep = project_laplacian(lap_to_dense(lap), (2, 3, 4))
         assert rep.relative_residual <= 1e-12
 
+    def test_no_dense_cap_on_held_arrays(self, monkeypatch):
+        # the cap bounds arrays kronlap builds; a 125 x 125 array the caller holds is projected under cap 64
+        a = np.random.default_rng(0).standard_normal((125, 125))
+        oracle = project_by_normal_equations(a, (5, 5, 5))
+        monkeypatch.setenv("KRONLAP_DENSE_CAP", "64")
+        rep = project_laplacian(a, (5, 5, 5))
+        member, rel, _ = laplacian_distance(a, (5, 5, 5))
+        monkeypatch.delenv("KRONLAP_DENSE_CAP")
+        np.testing.assert_allclose(
+            lap_to_dense(rep.projection), oracle, atol=1e-10 * np.linalg.norm(a)
+        )
+        assert not member
+        assert rel == pytest.approx(np.linalg.norm(a - oracle) / np.linalg.norm(a), rel=1e-10)
+
 
 class TestSweeps:
     """``project_delta_sweeps`` returns the closed form for any valid ``iter_max`` and ``tol``."""

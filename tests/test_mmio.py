@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from kronlap import MatrixMarketError, read_matrix_market, write_matrix_market
+from kronlap import MatrixMarketError, SizeLimitError, read_matrix_market, write_matrix_market
 
 
 def test_array_identity(tmp_path):
@@ -238,6 +238,40 @@ def test_array_read_memory_stays_near_result_size(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak <= 3 * m.nbytes
+
+
+@pytest.mark.parametrize(
+    "head", ["array real general\n50000 50000", "coordinate real general\n50000 50000 1"],
+    ids=["array", "coordinate"],
+)
+def test_size_line_over_the_cap_raises_before_the_body(tmp_path, monkeypatch, head):
+    # the body is malformed in either format, so reading it would raise MatrixMarketError
+    monkeypatch.delenv("KRONLAP_DENSE_CAP", raising=False)
+    f = tmp_path / "huge.mtx"
+    f.write_text(f"%%MatrixMarket matrix {head}\nx\n")
+    message = "^dense materialization of size 50000 exceeds the configured cap 4096$"
+    with pytest.raises(SizeLimitError, match=message):
+        read_matrix_market(f)
+
+
+@pytest.mark.parametrize(
+    "shape, fits",
+    [((4, 4), True), ((5, 5), False), ((16, 1), True), ((1, 16), True), ((17, 1), False),
+     ((5, 4), False), ((0, 9), True), ((0, 0), True)],
+    ids=str,
+)
+def test_size_line_cap_is_on_rows_times_cols(tmp_path, monkeypatch, shape, fits):
+    # cap 4 allows 4 x 4 = 16 entries in any shape, so a vector longer than the cap still reads
+    monkeypatch.setenv("KRONLAP_DENSE_CAP", "4")
+    m = np.arange(float(shape[0] * shape[1])).reshape(shape)
+    for fmt in ("array", "coordinate"):
+        f = tmp_path / f"m_{fmt}.mtx"
+        write_matrix_market(f, m, fmt=fmt)
+        if fits:
+            np.testing.assert_array_equal(read_matrix_market(f), m)
+        else:
+            with pytest.raises(SizeLimitError, match="exceeds the configured cap 4$"):
+                read_matrix_market(f)
 
 
 @pytest.mark.parametrize("fmt", ["array", "coordinate"])

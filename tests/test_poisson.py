@@ -36,8 +36,9 @@ class TestStencil:
             poisson1d_stencil(3, 0.0)
 
     def test_rejects_nan_h(self):
-        with pytest.raises(ValueError, match="h must be positive"):
-            poisson1d_stencil(3, float("nan"))
+        for h in (float("nan"), float("inf"), -float("inf")):
+            with pytest.raises(ValueError, match="h must be positive"):
+                poisson1d_stencil(3, h)
 
 
 class TestAnalyticFields:
