@@ -129,6 +129,7 @@ class LinearOperator:
         return self._laplacian
 
     def apply(self, x) -> np.ndarray:
+        x = _as_vector(x, self.n)
         if self._laplacian is None:
             return self._matrix @ x
         return lap_matvec(self._laplacian, x)

@@ -3,18 +3,17 @@
 Supports the real-valued subset used by the CLI: ``array`` and ``coordinate``
 formats with ``general`` or ``symmetric`` symmetry. Symmetric files are
 expanded to full storage on read; duplicate coordinate entries are summed.
-The reader parses the body in one vectorized pass and reads only a rejected
-file again, line by line, to name the offending 1-based line; an input that
-cannot seek is held in memory for that. Values are written in shortest
+The reader reads the body once, in chunks, each parsed in one vectorized
+step; a chunk it rejects is scanned line by line to name the offending
+1-based line, so a pipe reads like a file. Values are written in shortest
 round-tripping form, so read(write(M)) reproduces M exactly, a few thousand at
 a time, so the text of the whole matrix is never built.
 """
 
-import io
 import math
 import os
 import tempfile
-from itertools import chain, islice
+from itertools import chain
 
 import numpy as np
 
@@ -71,75 +70,88 @@ def _read_head(fh):
     """Header fields, size line number and text, and the body text up to the next newline."""
     number = 0
     for raw in iter(fh.readline, ""):
-        lines = raw.splitlines()
+        lines = raw.splitlines(keepends=True)
         for k, line in enumerate(lines):
             number += 1
             if number == 1:
                 header = _parse_header(line)
             elif (size_line := line.strip()) and not size_line.startswith("%"):
-                return header, number, size_line, "\n".join(lines[k + 1:])
+                return header, number, size_line, "".join(lines[k + 1:])
     raise MatrixMarketError("missing size line" if number else "empty file", line=number or 1)
 
 
 def read_matrix_market(path) -> np.ndarray:
     """Read a Matrix Market file into a dense 2-D float array.
 
-    The body is read in chunks of about 64 KiB that end at a newline. Array
-    values go through ``float`` into one array, coordinate entries into an
-    (nnz, 3) table; counts, finiteness and index ranges are checked on the
-    whole. A file this pass rejects is read again to name the offending line.
-    A size line of more than cap^2 entries raises SizeLimitError before the body is read.
+    The body is read once, in chunks of about 64 KiB that end at a newline.
+    Array values go through ``float``, coordinate entries into (i, j, value)
+    rows; each chunk's count, finiteness and index ranges are checked as it
+    arrives, and a rejected chunk is scanned line by line to name the
+    offending line. A size line of more than cap^2 entries raises
+    SizeLimitError before the body is read.
     """
-    with open(path, "r") as raw:
-        # a rejected body is read again from its start, so input that cannot seek is held
-        fh = raw if raw.seekable() else io.StringIO(raw.read())
-        (fmt, symmetry), size_number, size_line, rest = _read_head(fh)
+    with open(path, "r") as fh:
+        (fmt, symmetry), number, size_line, rest = _read_head(fh)
         tokens = size_line.split()
         want = 2 if fmt == "array" else 3
         if len(tokens) != want:
             raise MatrixMarketError(
                 f"size line must have {want} integers for {fmt} format, got {size_line!r}",
-                line=size_number,
+                line=number,
             )
         try:
             dims = [int(t) for t in tokens]
         except ValueError:
-            raise MatrixMarketError(f"bad size line {size_line!r}", line=size_number) from None
+            raise MatrixMarketError(f"bad size line {size_line!r}", line=number) from None
         if any(d < 0 for d in dims):
-            raise MatrixMarketError(f"negative size in {size_line!r}", line=size_number)
+            raise MatrixMarketError(f"negative size in {size_line!r}", line=number)
         if symmetry == "symmetric" and dims[0] != dims[1]:
-            raise MatrixMarketError("symmetric matrix must be square", line=size_number)
+            raise MatrixMarketError("symmetric matrix must be square", line=number)
         _check_dense_cap(math.isqrt(max(dims[0] * dims[1] - 1, 0)) + 1)  # ceil(sqrt(rows * cols))
 
-        # every chunk ends at a newline, so no line spans two chunks
-        chunks = iter(lambda: fh.read(1 << 16) + fh.readline(), "")
-        body = map(_uncommented, chain([rest], chunks))
         coordinate = fmt == "coordinate"
         if coordinate:
-            count, dtype = dims[2], (float, 3)
-            items = chain.from_iterable(map(_entries, body))
+            # entries are summed into the matrix as they come, so a false nnz allocates nothing
+            count, dtype, parse, out = dims[2], (float, 3), _entries, np.zeros(dims[:2])
         else:
-            rows, cols = dims
-            count = rows * cols if symmetry == "general" else rows * (rows + 1) // 2
-            dtype, items = float, map(float, chain.from_iterable(map(str.split, body)))
-        try:
-            # a bad token raises; an array stops at count= (or raises short of it), while a
-            # coordinate table grows, so a false nnz on the size line allocates nothing
-            table = np.fromiter(items, dtype=dtype, count=-1 if coordinate else count)
-            whole = len(table) == count and next(items, None) is None
-        except (ValueError, OverflowError):  # OverflowError: an index beyond float range
-            whole = False
-        if whole and np.isfinite(table).all():
-            if not coordinate or ((table[:, :2] >= 1) & (table[:, :2] <= dims[:2])).all():
-                return _fill(table, dims, symmetry, coordinate)
-        _raise_first_error(fh, size_number, dims, count, coordinate)
+            count = dims[0] * dims[1] if symmetry == "general" else dims[0] * (dims[0] + 1) // 2
+            dtype, parse, out = float, lambda text: map(float, text.split()), np.empty(count)
+        seen = 0
+        # every chunk ends at a newline, so no line spans two chunks
+        for chunk in chain([rest], iter(lambda: fh.read(1 << 16) + fh.readline(), "")):
+            text, lines = _uncommented(chunk)
+            try:
+                part = np.fromiter(parse(text), dtype=dtype)
+                inside = not coordinate or ((part[:, :2] >= 1) & (part[:, :2] <= dims[:2])).all()
+                good = inside and seen + len(part) <= count and np.isfinite(part).all()
+            except (ValueError, OverflowError):  # OverflowError: an index beyond float range
+                good = False
+            if not good:
+                _raise_first_error(chunk, number, seen, dims, count, coordinate)
+            if coordinate:  # 1-based (i, j, value) rows, summed in file order
+                i, j = part[:, :2].T.astype(np.intp) - 1
+                if symmetry == "symmetric":  # (i, j) and (j, i) are summed below the diagonal
+                    i, j = np.maximum(i, j), np.minimum(i, j)
+                np.add.at(out, (i, j), part[:, 2])
+            else:
+                out[seen : seen + len(part)] = part
+            seen += len(part)
+            number += lines
+    if seen < count:
+        _raise_first_error("", number, seen, dims, count, coordinate)
+    return _fill(out, dims, symmetry, coordinate)
 
 
 def _uncommented(chunk):
-    """``chunk`` without its comment lines; only a chunk holding '%' is split into lines."""
-    if "%" not in chunk:
-        return chunk
-    return "\n".join(line for line in chunk.splitlines() if not line.lstrip().startswith("%"))
+    """``chunk`` without its comment lines, and its number of lines by str.splitlines rules.
+
+    Text mode reads CR and CRLF as LF, so only a chunk holding '%' or another
+    line break, or not ending in LF, is split into lines.
+    """
+    if chunk.endswith("\n") and not any(c in chunk for c in "%\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"):
+        return chunk, chunk.count("\n")
+    lines = chunk.splitlines()
+    return "\n".join(line for line in lines if not line.lstrip().startswith("%")), len(lines)
 
 
 def _entries(chunk):
@@ -150,40 +162,31 @@ def _entries(chunk):
     return zip(map(int, i), map(int, j), map(float, v))
 
 
-def _fill(table, dims, symmetry, coordinate):
-    """Dense matrix of a parsed body; a symmetric file fills both triangles.
+def _fill(out, dims, symmetry, coordinate):
+    """Dense matrix of a read body; a symmetric file fills both triangles.
 
-    Array values are column-major. Coordinate rows are 1-based (i, j, value),
-    summed in file order.
+    ``out`` is the summed coordinate matrix or the array's column-major values.
     """
     rows, cols = dims[:2]
-    if not coordinate and symmetry == "general":
-        return table.reshape(cols, rows).T.copy()
-    m = np.zeros((rows, cols))
-    if coordinate:
-        i, j = table[:, :2].T.astype(np.intp) - 1
-        if symmetry == "symmetric":  # entries at (i, j) and (j, i) are summed below the diagonal
-            i, j = np.maximum(i, j), np.minimum(i, j)
-        np.add.at(m, (i, j), table[:, 2])
-    else:
-        j, i = np.triu_indices(rows)  # (j, i) with i >= j, j slowest: column-major lower triangle
-        m[i, j] = table
-    if symmetry == "symmetric":
-        m[j, i] = m[i, j]
+    if symmetry == "general":
+        return out if coordinate else out.reshape(cols, rows).T.copy()
+    j, i = np.triu_indices(rows)  # (j, i) with i >= j, j slowest: column-major lower triangle
+    m = out if coordinate else np.zeros((rows, cols))
+    if not coordinate:
+        m[i, j] = out
+    m[j, i] = m[i, j]
     return m
 
 
-def _raise_first_error(fh, size_number, dims, count, coordinate):
-    """Read the body again line by line and raise the error of its first bad line.
+def _raise_first_error(chunk, number, seen, dims, count, coordinate):
+    """Raise the error of the first bad line of ``chunk``, or the short-body error.
 
-    Runs only after the vectorized pass rejected the body; never returns values.
+    ``chunk`` starts at line ``number + 1``, after ``seen`` values or entries;
+    an empty ``chunk`` stands for the end of a body short of ``count``.
     """
-    fh.seek(0)
-    lines = enumerate(chain.from_iterable(map(str.splitlines, fh)), start=1)
     noun, bound = ("entries", "declared") if coordinate else ("values", "expected")
     rows, cols = dims[:2]
-    seen, number = 0, size_number
-    for number, line in islice(lines, size_number, None):
+    for number, line in enumerate(chunk.splitlines(), start=number + 1):
         text = line.strip()
         if not text or text.startswith("%"):
             continue

@@ -20,7 +20,6 @@ import numpy as np
 import scipy.linalg
 
 from kronlap import embed, partial_trace
-from kronlap.kron_core import _check_dense_cap
 
 
 def frobenius_inner(a, b) -> float:
@@ -116,7 +115,7 @@ def dense_exp(a, tol: float = 1e-12) -> np.ndarray:
 
     A desk-scale reference routine, not a production exponential: the series is
     summed until the next term is below ``tol`` relative to the running sum,
-    then the result is squared back up. Honors the dense cap.
+    then the result is squared back up.
     """
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -124,7 +123,6 @@ def dense_exp(a, tol: float = 1e-12) -> np.ndarray:
     if tol <= 0:
         raise ValueError("tol must be positive")
     n = a.shape[0]
-    _check_dense_cap(n)
     norm = np.linalg.norm(a, 1)
     squarings = max(0, int(np.ceil(np.log2(norm)))) if norm > 1.0 else 0
     b = a / (2.0 ** squarings)

@@ -1,4 +1,5 @@
 import importlib
+import re
 import tracemalloc
 from unittest import mock
 
@@ -110,6 +111,14 @@ class TestLinearOperator:
             LinearOperator((2, 3), matrix=np.ones((7, 7)))
         with pytest.raises(ValueError, match="laplacian has dims"):
             LinearOperator((3, 2), laplacian=lap)
+
+    def test_apply_checks_the_vector_on_both_kinds(self):
+        lap = LaplacianLike.zeros((2, 3), alpha=1.0)
+        for op in (LinearOperator.from_dense(np.eye(6), (2, 3)), LinearOperator.from_laplacian(lap)):
+            for x in (np.ones(7), np.ones((6, 1))):
+                message = re.escape(f"vector of length 6 expected, got shape {x.shape}")
+                with pytest.raises(ValueError, match=f"^{message}$"):
+                    op.apply(x)
 
     def test_kinds_agree(self):
         rng = np.random.default_rng(0)

@@ -356,11 +356,6 @@ class TestExponential:
         got = dense_exp(np.array([[0.0, 1.0], [0.0, 0.0]]))
         np.testing.assert_allclose(got, np.array([[1.0, 1.0], [0.0, 1.0]]), atol=1e-15)
 
-    def test_dense_exp_cap(self):
-        with mock.patch.dict(os.environ, {"KRONLAP_DENSE_CAP": "3"}):
-            with pytest.raises(SizeLimitError):
-                dense_exp(np.zeros((4, 4)))
-
 
 # both factor forms run one set of factor checks
 FACTOR_FORMS = [

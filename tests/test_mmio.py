@@ -1,5 +1,7 @@
 import os
+import threading
 import tracemalloc
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -192,6 +194,10 @@ class TestFastReaderMatchesLineByLine:
         f.write_text("%%MatrixMarket matrix array real general\n2 2\x0c1.0\x0cx\n0.0\n1.0\n")
         with pytest.raises(MatrixMarketError, match="^line 4: cannot parse value 'x'$"):
             read_matrix_market(f)
+        # the blank line between form feed and newline counts as well
+        f.write_text("%%MatrixMarket matrix array real general\n2 2\x0c\n1.0\nx\n0.0\n1.0\n")
+        with pytest.raises(MatrixMarketError, match="^line 5: cannot parse value 'x'$"):
+            read_matrix_market(f)
 
 
 _COORDINATE = "%%MatrixMarket matrix coordinate real {}\n"
@@ -227,10 +233,51 @@ def test_coordinate_errors_and_sums(tmp_path, text, expected):
         np.testing.assert_array_equal(read_matrix_market(f), np.array(expected))
 
 
-def test_array_read_memory_stays_near_result_size(tmp_path):
-    # the body is read in chunks, so no list of its lines or tokens is held
+@contextmanager
+def _source(kind, f):
+    """``f`` itself, or the read end of a pipe that a thread feeds ``f``'s bytes to."""
+    if kind == "file":
+        yield f
+        return
+    data = f.read_bytes()
+    r, w = os.pipe()
+
+    def feed():  # a thread, since writing blocks once the pipe's small buffer is full
+        try:
+            with open(w, "wb") as fh:
+                fh.write(data)
+        except BrokenPipeError:  # the reader stopped at a bad line and closed its end
+            pass
+
+    writer = threading.Thread(target=feed)
+    writer.start()
+    try:
+        yield r  # an int path is the pipe's file descriptor
+    finally:
+        writer.join(timeout=60)
+    assert not writer.is_alive()
+
+
+@pytest.mark.parametrize("kind", ["file", "pipe"])
+def test_array_read_memory_stays_near_result_size(tmp_path, kind):
+    # the body is read once, in chunks, so neither its text nor a list of its
+    # lines or tokens is held, from a file or from a pipe
     f = tmp_path / "big.mtx"
     write_matrix_market(f, np.random.default_rng(0).standard_normal((512, 512)))
+    with _source(kind, f) as path:
+        tracemalloc.start()
+        try:
+            m = read_matrix_market(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak <= 3 * m.nbytes
+
+
+def test_coordinate_read_memory_stays_near_result_size(tmp_path):
+    # entries are summed into the matrix chunk by chunk, so no (nnz, 3) table is held
+    f = tmp_path / "big.mtx"
+    write_matrix_market(f, np.random.default_rng(0).standard_normal((512, 512)), fmt="coordinate")
     tracemalloc.start()
     try:
         m = read_matrix_market(f)
@@ -330,6 +377,9 @@ class TestErrors:
              "^line 7: expected 4 values, found 3$"),
             ("%%MatrixMarket matrix coordinate real general\n2 2 2\n1 1 1.0\n% end\n",
              "^line 4: expected 2 entries, found 1$"),
+            # the last line has no line break, yet counts
+            ("%%MatrixMarket matrix array real general\n2 2\n1.0\n2.0\n3.0",
+             "^line 5: expected 4 values, found 3$"),
             ("%%MatrixMarket matrix array real general\n% only a comment\n\n",
              "^line 3: missing size line$"),
         ],
@@ -394,13 +444,35 @@ class TestErrors:
         with pytest.raises(MatrixMarketError, match="^line 3: symmetric matrix must be square$"):
             read_matrix_market(f)
 
-    def test_bad_token_deep_in_large_array(self, tmp_path):
-        values = ["0.5"] * 10_000
+    @pytest.mark.parametrize("kind", ["file", "pipe"])
+    def test_bad_token_deep_in_large_array(self, tmp_path, kind):
+        # 23 bytes a line put the bad one about 165 KiB into the body, past two 64 KiB chunks
+        values = ["0.50000000000000000000"] * 10_000
         values[7321] = "bogus"  # data starts on line 3
         f = tmp_path / "big.mtx"
         f.write_text("%%MatrixMarket matrix array real general\n100 100\n" + "\n".join(values) + "\n")
-        with pytest.raises(MatrixMarketError, match="^line 7324: cannot parse value 'bogus'$"):
-            read_matrix_market(f)
+        with _source(kind, f) as path:
+            with pytest.raises(MatrixMarketError, match="^line 7324: cannot parse value 'bogus'$"):
+                read_matrix_market(path)
+
+    @pytest.mark.parametrize("kind", ["file", "pipe"])
+    def test_bad_line_number_counts_every_line_break(self, tmp_path, kind):
+        # lines end in any break str.splitlines knows, and blank and comment
+        # lines count. Each run of 3000 lines, more than a 64 KiB chunk, ends
+        # its lines in one way, and a run that holds no "\n" comes between two
+        # that do, so some chunk holds that one kind of break alone.
+        kinds = ["\x0b", "\n", "\x0c", "\r\n", "\x1c", "\r", "\x1d", "\n\n",
+                 "\x1e", "\n% c\n", "\x85", "\n", "\u2028", "\r\n", "\u2029", "\n"]
+        breaks = [kinds[k // 3000] for k in range(48_000)]
+        head = "%%MatrixMarket matrix array real general\n480 100\n"
+        body = "".join(f"0.{k:020d}{sep}" for k, sep in enumerate(breaks))
+        f = tmp_path / "big.mtx"
+        with open(f, "w", newline="") as fh:  # keep "\r\n" and "\r" as written
+            fh.write(head + body + "bogus\n")
+        line = len((head + body).splitlines()) + 1
+        with _source(kind, f) as path:
+            with pytest.raises(MatrixMarketError, match=f"^line {line}: cannot parse value 'bogus'$"):
+                read_matrix_market(path)
 
     def test_coordinate_entry_with_extra_field(self, tmp_path):
         f = tmp_path / "bad.mtx"
