@@ -36,7 +36,6 @@ from .kron_core import (
 from .lap_project import (
     MembershipResult,
     ProjectionReport,
-    identity_component,
     laplacian_distance,
     mode_projection,
     project_laplacian,
@@ -76,7 +75,6 @@ __all__ = [
     "exact_solution",
     "forcing",
     "grou",
-    "identity_component",
     "lap_exp",
     "lap_matvec",
     "lap_to_dense",

@@ -95,44 +95,29 @@ def _unit_first(n: int) -> np.ndarray:
 
 
 class LinearOperator:
-    """Square linear map on R^N, either a dense matrix or a structured form.
+    """Square linear map on R^N, built by :meth:`from_dense` or :meth:`from_laplacian`.
 
-    An operator holding a Laplacian-like form applies it through mode-wise
-    contractions and never builds an N x N matrix; otherwise it holds a dense
-    matrix.
+    Each of the two kinds defines ``apply`` and the mode step of
+    :func:`als_rank_one` for its own form, so no caller asks which kind it
+    holds. ``_mode_step(r, factors)`` returns ``step(k, with_objective)``,
+    which fits factor k with the others fixed and returns (y_k, objective
+    or None, rank_deficient); it reads ``factors`` as the caller updates
+    it. ``laplacian`` is the structured form, None on the dense kind.
     """
 
-    def __init__(self, dims: DimSplit, matrix=None, laplacian=None):
-        if (matrix is None) == (laplacian is None):
-            raise ValueError("a LinearOperator takes exactly one of matrix and laplacian")
-        if matrix is not None:
-            matrix, dims = _as_square_matrix(matrix, dims)
-            _require_finite(matrix, "matrix")
-        elif laplacian.dims != (dims := _as_dims(dims)):
-            raise ValueError(f"laplacian has dims {laplacian.dims.modes}, expected {dims.modes}")
-        self.dims, self._matrix, self._laplacian = dims, matrix, laplacian
+    laplacian: LaplacianLike | None = None
 
-    @classmethod
-    def from_dense(cls, a, dims) -> "LinearOperator":
-        return cls(dims, matrix=a)
+    @staticmethod
+    def from_dense(a, dims) -> "LinearOperator":
+        return _DenseOperator(a, dims)
 
-    @classmethod
-    def from_laplacian(cls, lap: LaplacianLike) -> "LinearOperator":
-        return cls(lap.dims, laplacian=lap)
+    @staticmethod
+    def from_laplacian(lap: LaplacianLike) -> "LinearOperator":
+        return _LaplacianOperator(lap)
 
     @property
     def n(self) -> int:
         return self.dims.n
-
-    @property
-    def laplacian(self) -> LaplacianLike | None:
-        return self._laplacian
-
-    def apply(self, x) -> np.ndarray:
-        x = _as_vector(x, self.n)
-        if self._laplacian is None:
-            return self._matrix @ x
-        return lap_matvec(self._laplacian, x)
 
 
 @dataclass(eq=False)
@@ -210,15 +195,61 @@ def _structured_step(c, eye, w, s, r_k, with_objective: bool):
     return sol, objective, deficient
 
 
-def _dense_step(a, w, r, dims: DimSplit, k: int, with_objective: bool):
-    """Least-squares mode step for a dense operator: M_k = A (w0 (x)_k I)."""
-    n_k = dims.modes[k]
-    w = w.reshape(dims.left_size(k), 1, dims.right_size(k), 1)
-    m = a @ (w * np.eye(n_k)[None, :, None, :]).reshape(dims.n, n_k)
-    sol, deficient = _lstsq(m, r, dims.n)
-    if not with_objective:
-        return sol, None, deficient
-    return sol, float(np.linalg.norm(r - m @ sol)), deficient
+class _DenseOperator(LinearOperator):
+    """A dense matrix A; its ALS mode matrix A (w0 (x)_k I) is built, N x n_k."""
+
+    def __init__(self, a, dims):
+        self._a, self.dims = _as_square_matrix(a, dims)
+        _require_finite(self._a, "matrix")
+
+    def apply(self, x) -> np.ndarray:
+        return self._a @ _as_vector(x, self.n)
+
+    def _mode_step(self, r, factors):
+        dims = self.dims
+
+        def step(k: int, with_objective: bool):
+            n_k = dims.modes[k]
+            w = reduce(np.multiply.outer, factors[:k] + factors[k + 1:], np.ones(()))
+            w = w.reshape(dims.left_size(k), 1, dims.right_size(k), 1)
+            m = self._a @ (w * np.eye(n_k)[None, :, None, :]).reshape(dims.n, n_k)
+            sol, deficient = _lstsq(m, r, dims.n)
+            objective = float(np.linalg.norm(r - m @ sol)) if with_objective else None
+            return sol, objective, deficient
+
+        return step
+
+
+class _LaplacianOperator(LinearOperator):
+    """A Laplacian-like form, applied by mode-wise contractions with no N x N matrix.
+
+    Its ALS step never applies A: the mode-k matrix has the two-term form
+    w0 (x)_k C_k + s (x)_k I (see :func:`_mode_weights`), so a step costs
+    O(d*N + n_k^3): a thin QR of [w0 s] reduces it to a 2n_k x n_k matrix
+    with the same singular values (see :func:`_structured_step`).
+    """
+
+    def __init__(self, lap: LaplacianLike):
+        self.laplacian, self.dims = lap, lap.dims
+
+    def apply(self, x) -> np.ndarray:
+        return lap_matvec(self.laplacian, x)
+
+    def _mode_step(self, r, factors):
+        lap, modes = self.laplacian, self.dims.modes
+        t = r.reshape(modes)
+        r_modes = [np.moveaxis(t, k, 0).reshape(n_k, -1) for k, n_k in enumerate(modes)]
+        eyes = [np.eye(n_k) for n_k in modes]
+        c_modes = [lap.alpha * eye + f for eye, f in zip(eyes, lap.factors)]
+        images = [f @ y for f, y in zip(lap.factors, factors)]  # A_k y_k, kept current
+
+        def step(k: int, with_objective: bool):
+            w, s = _mode_weights(factors, images, k)
+            out = _structured_step(c_modes[k], eyes[k], w, s, r_modes[k], with_objective)
+            images[k] = lap.factors[k] @ out[0]
+            return out
+
+        return step
 
 
 def als_rank_one(
@@ -234,15 +265,12 @@ def als_rank_one(
     stops only when a sweep does not improve it; :func:`grou` passes
     ``_ALS_REL_TOL``. The sweeps run are recorded in the result's ``sweeps``.
 
-    A structured operator never applies A inside the fit: its mode matrix has
-    the two-term form w0 (x)_k C_k + s (x)_k I (see :func:`_mode_weights`), so
-    a mode step costs O(d*N + n_k^3): a thin QR of [w0 s] reduces it to a
-    2n_k x n_k matrix with the same singular values. A dense operator builds
-    its mode matrix as A (w0 (x)_k I). Both steps take the minimum-norm
-    solution by pivoted QR with the rank cutoff eps * N, and a lower rank
-    flags ``rank_deficient``. The objective is computed from the residual
-    itself, once per pass after its last mode step, where the stop reads it;
-    ||r||^2 - ||r_k Q||^2 would cancel below the stopping rule.
+    Each operator kind supplies its own mode step (see its class): the
+    structured kind never applies A inside the fit. Both take the
+    minimum-norm solution by pivoted QR with the rank cutoff eps * N, and a
+    lower rank flags ``rank_deficient``. The objective is computed from the
+    residual itself, once per pass after its last mode step, where the stop
+    reads it; ||r||^2 - ||r_k Q||^2 would cancel below the stopping rule.
     The fit runs on 2^e * r with max |2^e * r| in [1/2, 1) and its factor 0
     is scaled back by 2^-e, exactly, so 2^k * r gets 2^k times the fit of r.
     A non-finite residual raises ValueError.
@@ -260,28 +288,14 @@ def als_rank_one(
     r = np.ldexp(r, e)
     rng = np.random.default_rng(seed)
     factors = [v / np.linalg.norm(v) for v in (rng.standard_normal(n) for n in dims.modes)]
-    lap = op.laplacian
-    if lap is not None:
-        t = r.reshape(dims.modes)
-        r_modes = [np.moveaxis(t, k, 0).reshape(n_k, -1) for k, n_k in enumerate(dims.modes)]
-        eyes = [np.eye(n_k) for n_k in dims.modes]
-        c_modes = [lap.alpha * eye + f for eye, f in zip(eyes, lap.factors)]
-        images = [f @ y for f, y in zip(lap.factors, factors)]
+    step = op._mode_step(r, factors)  # reads factors as they are updated below
     rank_deficient = False
     objective = None
     for sweeps in range(1, iter_max + 1):
         previous = objective
         for k in range(dims.d):
-            last = k == dims.d - 1  # the stop below reads only the sweep's last objective
-            if lap is None:
-                w = reduce(np.multiply.outer, factors[:k] + factors[k + 1:], np.ones(()))
-                sol, objective, deficient = _dense_step(op._matrix, w, r, dims, k, last)
-            else:
-                w, s = _mode_weights(factors, images, k)
-                sol, objective, deficient = _structured_step(
-                    c_modes[k], eyes[k], w, s, r_modes[k], last
-                )
-                images[k] = lap.factors[k] @ sol
+            # the stop below reads only the sweep's last objective
+            sol, objective, deficient = step(k, k == dims.d - 1)
             rank_deficient |= deficient
             factors[k] = sol
             if not sol.any():  # y = 0, so factor 0 needs no scaling back

@@ -23,11 +23,9 @@ from numpy.lib.stride_tricks import as_strided
 
 from .kron_core import (
     LaplacianLike,
-    _as_matrix,
     _as_square_matrix,
     _mode_blocks,
     _require_finite,
-    _require_square,
     embed,  # noqa: F401  unused here, but perfbench/tracing.py patches this name
     lap_to_dense,  # noqa: F401  as for embed
     partial_trace,
@@ -49,13 +47,6 @@ class ProjectionReport:
     relative_residual: float
     sweeps_used: int
     method: str
-
-
-def identity_component(a) -> float:
-    """Coefficient of id_N in the orthogonal decomposition: tr(A)/N."""
-    a = _as_matrix(a, "matrix")
-    _require_square(a)
-    return float(np.trace(a)) / a.shape[0]
 
 
 def _traceless_fit(pt, n_i: int, n: int) -> np.ndarray:

@@ -87,8 +87,8 @@ def read_matrix_market(path) -> np.ndarray:
     Array values go through ``float``, coordinate entries into (i, j, value)
     rows; each chunk's count, finiteness and index ranges are checked as it
     arrives, and a rejected chunk is scanned line by line to name the
-    offending line. A size line of more than cap^2 entries raises
-    SizeLimitError before the body is read.
+    offending line. A size line of more than cap^2 entries, or with more than
+    cap^2 rows or columns, raises SizeLimitError before anything is allocated.
     """
     with open(path, "r") as fh:
         (fmt, symmetry), number, size_line, rest = _read_head(fh)
@@ -107,7 +107,9 @@ def read_matrix_market(path) -> np.ndarray:
             raise MatrixMarketError(f"negative size in {size_line!r}", line=number)
         if symmetry == "symmetric" and dims[0] != dims[1]:
             raise MatrixMarketError("symmetric matrix must be square", line=number)
-        _check_dense_cap(math.isqrt(max(dims[0] * dims[1] - 1, 0)) + 1)  # ceil(sqrt(rows * cols))
+        # ceil(sqrt(.)) of rows * cols, rows and cols: each is at most cap^2, so a zero
+        # side cannot carry a huge one past the cap
+        _check_dense_cap(math.isqrt(max(dims[0] * dims[1], *dims[:2], 1) - 1) + 1)
 
         coordinate = fmt == "coordinate"
         if coordinate:

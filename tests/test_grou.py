@@ -103,14 +103,34 @@ class TestLinearOperator:
             LinearOperator.from_dense(np.eye(5), (2, 3))
 
     def test_bad_constructions(self):
-        lap = LaplacianLike.zeros((2, 3), alpha=1.0)
-        for kinds in ({}, {"matrix": np.eye(6), "laplacian": lap}):
-            with pytest.raises(ValueError, match="exactly one of matrix and laplacian"):
-                LinearOperator((2, 3), **kinds)
         with pytest.raises(ValueError, match="matrix is 7x7 but dims 2,3 require size 6x6"):
-            LinearOperator((2, 3), matrix=np.ones((7, 7)))
-        with pytest.raises(ValueError, match="laplacian has dims"):
-            LinearOperator((3, 2), laplacian=lap)
+            LinearOperator.from_dense(np.ones((7, 7)), (2, 3))
+
+    def test_laplacian_is_the_form_or_none(self):
+        lap = LaplacianLike.zeros((2, 3), alpha=1.0)
+        assert LinearOperator.from_laplacian(lap).laplacian is lap
+        assert LinearOperator.from_dense(np.eye(6), (2, 3)).laplacian is None
+
+    @pytest.mark.parametrize("dense", [False, True])
+    def test_instance_apply_is_what_grou_calls(self, dense):
+        # a tracer wraps the instance's apply for one solve, then deletes it
+        problem = build_poisson(3)
+        lap = problem.operator
+        op = dense_twin(lap) if dense else LinearOperator.from_laplacian(lap)
+        expected = op.apply(problem.rhs)
+        calls = []
+        plain = op.apply
+
+        def counted(x):
+            calls.append(1)
+            return plain(x)
+
+        op.apply = counted
+        report = grou(op, np.random.default_rng(0).standard_normal(27), rank_max=5)
+        assert len(calls) == report.terms_used > 0
+        del op.apply
+        assert op.apply.__func__ is type(op).apply
+        assert op.apply(problem.rhs).tobytes() == expected.tobytes()
 
     def test_apply_checks_the_vector_on_both_kinds(self):
         lap = LaplacianLike.zeros((2, 3), alpha=1.0)

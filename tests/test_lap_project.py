@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from kronlap import (
     LaplacianLike,
     embed,
-    identity_component,
     lap_to_dense,
     laplacian_distance,
     mode_projection,
@@ -29,19 +28,22 @@ from oracles import frobenius_inner, project_by_normal_equations, projection_by_
 
 
 class TestIdentityComponent:
+    """The coefficient of id_N in the projection is tr(A)/N."""
+
     def test_sparse30(self, sparse30):
         assert np.trace(sparse30) == 50.0
-        assert identity_component(sparse30) == pytest.approx(5.0 / 3.0, abs=1e-15)
+        alpha = project_laplacian(sparse30, (2, 3, 5)).projection.alpha
+        assert alpha == pytest.approx(5.0 / 3.0, abs=1e-15)
 
     def test_traceless(self, adjacency6):
-        assert identity_component(adjacency6) == 0.0
+        assert project_laplacian(adjacency6, (2, 3)).projection.alpha == pytest.approx(0.0, abs=1e-15)
 
     def test_identity(self):
-        assert identity_component(np.eye(9)) == 1.0
+        assert project_laplacian(np.eye(9), (3, 3)).projection.alpha == pytest.approx(1.0, abs=1e-15)
 
     def test_non_square(self):
         with pytest.raises(ValueError):
-            identity_component(np.ones((2, 3)))
+            project_laplacian(np.ones((2, 3)), (2, 3))
 
 
 class TestModeProjection:

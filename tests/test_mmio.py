@@ -301,14 +301,29 @@ def test_size_line_over_the_cap_raises_before_the_body(tmp_path, monkeypatch, he
         read_matrix_market(f)
 
 
+@pytest.mark.parametrize("size", ["100000000000000000000 0", "0 100000000000000000000"])
+@pytest.mark.parametrize("fmt", ["array", "coordinate"])
+def test_size_line_with_a_huge_side_raises_before_the_body(tmp_path, monkeypatch, fmt, size):
+    # rows * cols is 0, but numpy cannot build an array with a side of 10^20
+    monkeypatch.delenv("KRONLAP_DENSE_CAP", raising=False)
+    f = tmp_path / "huge.mtx"
+    nnz = " 1\n1 1 1.0" if fmt == "coordinate" else ""
+    f.write_text(f"%%MatrixMarket matrix {fmt} real general\n{size}{nnz}\n")
+    message = "^dense materialization of size 10000000000 exceeds the configured cap 4096$"
+    with pytest.raises(SizeLimitError, match=message):
+        read_matrix_market(f)
+
+
 @pytest.mark.parametrize(
     "shape, fits",
     [((4, 4), True), ((5, 5), False), ((16, 1), True), ((1, 16), True), ((17, 1), False),
-     ((5, 4), False), ((0, 9), True), ((0, 0), True)],
+     ((5, 4), False), ((0, 9), True), ((0, 0), True), ((0, 16), True), ((0, 17), False),
+     ((17, 0), False)],
     ids=str,
 )
 def test_size_line_cap_is_on_rows_times_cols(tmp_path, monkeypatch, shape, fits):
-    # cap 4 allows 4 x 4 = 16 entries in any shape, so a vector longer than the cap still reads
+    # cap 4 allows 4 x 4 = 16 entries in any shape, so a vector longer than the cap still reads;
+    # each side is held to 16 too, so an empty matrix cannot declare a side past that
     monkeypatch.setenv("KRONLAP_DENSE_CAP", "4")
     m = np.arange(float(shape[0] * shape[1])).reshape(shape)
     for fmt in ("array", "coordinate"):
