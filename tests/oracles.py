@@ -19,7 +19,7 @@ from itertools import product
 import numpy as np
 import scipy.linalg
 
-from kronlap import embed, partial_trace
+from kronlap.kron_core import embed, partial_trace
 
 
 def frobenius_inner(a, b) -> float:

@@ -18,13 +18,13 @@ from kronlap import (
     SizeLimitError,
     build_poisson,
     direct_solve,
-    embed,
     grou,
     lap_exp,
     lap_to_dense,
     lie_bracket,
     project_laplacian,
 )
+from kronlap.kron_core import embed
 
 from conftest import (
     ADJ6_X1,

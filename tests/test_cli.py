@@ -199,6 +199,26 @@ class TestSolve:
         sidecar = json.loads((tmp_path / "x.mtx.json").read_text())
         assert sidecar["method"] == "grou_laplacian"
 
+    def test_direct_method_on_poisson_files(self, tmp_path):
+        prefix = tmp_path / "p"
+        assert run("gen", "--kind", "poisson", "--n", "4", "--output", str(prefix)) == 0
+        x = tmp_path / "x.mtx"
+        code = run(
+            "solve", "--matrix", f"{prefix}_A.mtx", "--rhs", f"{prefix}_b.mtx",
+            "--dims", "4,4,4", "--method", "direct", "--output", str(x),
+        )
+        assert code == 0
+        a = read_matrix_market(f"{prefix}_A.mtx")
+        b = read_matrix_market(f"{prefix}_b.mtx").reshape(-1)
+        want = np.linalg.solve(a, b)
+        got = read_matrix_market(x).reshape(-1)
+        assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+        sidecar = json.loads((tmp_path / "x.mtx.json").read_text())
+        assert (sidecar["method"], sidecar["stop_reason"], sidecar["terms_used"]) == ("direct", "direct", 0)
+        history = sidecar["residual_history"]
+        assert len(history) == 2
+        assert sidecar["relative_residual"] == history[1] / history[0]
+
     def test_non_member_uses_dense_path(self, tmp_path):
         rng = np.random.default_rng(0)
         a = rng.uniform(size=(6, 6)) + 6 * np.eye(6)
@@ -255,6 +275,17 @@ class TestSolve:
         code = run("solve", "--matrix", str(am), "--rhs", str(bm), "--dims", "2,3",
                    "--output", str(tmp_path / "x.mtx"))
         assert code == 2
+
+    def test_rhs_not_a_vector_exit_2(self, tmp_path, capsys):
+        am = tmp_path / "a.mtx"
+        bm = tmp_path / "b.mtx"
+        write_matrix_market(am, np.eye(4))
+        write_matrix_market(bm, np.eye(2))
+        code = run("solve", "--matrix", str(am), "--rhs", str(bm), "--dims", "2,2",
+                   "--output", str(tmp_path / "x.mtx"))
+        assert code == 2
+        assert "must hold a vector" in capsys.readouterr().err
+        assert not (tmp_path / "x.mtx").exists()
 
 
 class TestGen:

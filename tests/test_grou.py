@@ -59,6 +59,8 @@ class TestRankOneVector:
     def test_shape_validation(self):
         with pytest.raises(ValueError):
             RankOneVector((2, 3), (np.ones(3), np.ones(3)))
+        with pytest.raises(ValueError, match="^expected 2 factor vectors, got 3$"):
+            RankOneVector((2, 3), (np.ones(2), np.ones(3), np.ones(1)))
 
     @pytest.mark.parametrize("k", [-1070, -700, 700, 1000])
     def test_factor_far_from_unit_size_is_kept(self, k):
@@ -159,6 +161,10 @@ class TestLinearOperator:
 
 
 class TestAlsRankOne:
+    def test_iter_max_validated(self):
+        with pytest.raises(ValueError, match="^iter_max must be at least 1$"):
+            als_rank_one(identity_op((2, 3)), np.ones(6), iter_max=0)
+
     def test_recovers_exact_rank_one(self):
         u = np.array([1.0, -2.0])
         v = np.array([0.5, 1.0, 2.0])
@@ -230,6 +236,17 @@ class TestGrou:
         assert rep.residual_history[-1] <= 1e-12
         np.testing.assert_allclose(rep.x, b, atol=1e-12)
 
+    def test_term_that_raises_the_residual_is_refused(self):
+        # the fit sees I, the instance apply -I, so the first term doubles the residual
+        b = np.kron([1.0, 2.0], [3.0, -1.0, 0.5])
+        op = identity_op((2, 3))
+        op.apply = lambda v: -v
+        rep = grou(op, b)
+        assert rep.stop_reason == STAGNATION
+        assert rep.terms_used == 0
+        np.testing.assert_array_equal(rep.x, np.zeros(6))
+        assert rep.residual_history == [float(np.linalg.norm(b))]
+
     def test_history_monotone_and_consistent(self):
         rng = np.random.default_rng(5)
         lap = random_laplacian_like((3, 4), rng, alpha=8.0)  # well conditioned
@@ -264,6 +281,8 @@ class TestGrou:
             grou(identity_op((2, 3)), np.ones(5))
         with pytest.raises(ValueError):
             grou(identity_op((2, 3)), np.ones(6), eps=0.0)
+        with pytest.raises(ValueError, match="^rank_max must be at least 1$"):
+            grou(identity_op((2, 3)), np.ones(6), rank_max=0)
 
     @pytest.mark.parametrize("stop", ["eps", "tol"])
     def test_nan_stop_rejected(self, stop):
@@ -488,6 +507,14 @@ class TestDirectSolve:
         x = direct_solve(a, b)
         assert [c[0] for c in calls] == [kind]
         assert np.linalg.norm(x - x_ref) <= 1e-10 * np.linalg.norm(x_ref)
+
+    @pytest.mark.parametrize("a, message", [
+        (np.ones(6), r"^matrix must be 2-dimensional, got ndim=1$"),
+        (np.ones((6, 3)), r"^matrix must be square, got shape \(6, 3\)$"),
+    ], ids=["1-D", "non-square"])
+    def test_rejects_a_non_square_matrix(self, a, message):
+        with pytest.raises(ValueError, match=message):
+            direct_solve(a, np.ones(6))
 
     def test_empty_system_is_singular(self):
         with pytest.raises(SingularMatrixError) as err:

@@ -13,15 +13,13 @@ from kronlap import (
     LaplacianLike,
     SingularMatrixError,
     SizeLimitError,
-    embed,
     lap_exp,
     lap_matvec,
     lap_to_dense,
     lie_bracket,
-    partial_trace,
 )
 from kronlap import kron_core
-from kronlap.kron_core import _require_finite
+from kronlap.kron_core import _require_finite, embed, partial_trace
 
 from conftest import ADJ6_X1, ADJ6_X2, LAYOUTS, SPARSE30_ALPHA, SPARSE30_X1, SPARSE30_X2, SPARSE30_X3, random_laplacian_like
 from oracles import dense_exp, embed_by_kron_chain, frobenius_inner, partial_trace_by_loops, traceless_basis
@@ -239,6 +237,11 @@ class TestLaplacianLike:
     def test_identity(self):
         lap = LaplacianLike.zeros((2, 3), alpha=1.0)
         np.testing.assert_array_equal(lap_to_dense(lap), np.eye(6))
+
+    @pytest.mark.parametrize("alpha", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_alpha(self, alpha):
+        with pytest.raises(ValueError, match="^alpha must be finite$"):
+            LaplacianLike((2, 3), alpha, (np.zeros((2, 2)), np.zeros((3, 3))))
 
     def test_dense_cap(self):
         lap = LaplacianLike.zeros((4, 4, 4), alpha=1.0)

@@ -1,4 +1,5 @@
 import os
+import stat
 import threading
 import tracemalloc
 from contextlib import contextmanager
@@ -9,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kronlap import MatrixMarketError, SizeLimitError, read_matrix_market, write_matrix_market
+from kronlap.mmio import _atomic_write
 
 
 def test_array_identity(tmp_path):
@@ -60,6 +62,17 @@ def test_comments_and_blanks_skipped(tmp_path):
     ):
         f.write_text(text)
         np.testing.assert_array_equal(read_matrix_market(f), np.array([[0.0, 0.0], [4.5, 0.0]]))
+
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)], ids=["022", "077"])
+def test_written_file_mode_follows_the_umask(tmp_path, umask, mode):
+    old = os.umask(umask)
+    try:
+        write_matrix_market(tmp_path / "x.mtx", np.eye(2))
+    finally:
+        os.umask(old)
+    assert stat.S_IMODE(os.stat(tmp_path / "x.mtx").st_mode) == mode
 
 
 def test_writer_text(tmp_path):
@@ -373,6 +386,32 @@ class TestErrors:
         with pytest.raises(MatrixMarketError, match="line 1"):
             read_matrix_market(f)
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("%%MatrixMarket vector array real general\n1\n1.0\n",
+             r"^line 1: unsupported object 'vector' \(only 'matrix'\)$"),
+            ("%%MatrixMarket matrix dense real general\n1 1\n1.0\n",
+             r"^line 1: unsupported format 'dense' \(array or coordinate\)$"),
+            ("%%MatrixMarket matrix array real hermitian\n1 1\n1.0\n",
+             r"^line 1: unsupported symmetry 'hermitian' \(general or symmetric\)$"),
+            ("%%MatrixMarket matrix array real general\n% c\n1 1 1\n1.0\n",
+             "^line 3: size line must have 2 integers for array format, got '1 1 1'$"),
+            ("%%MatrixMarket matrix array real general\n1 x\n1.0\n",
+             "^line 2: bad size line '1 x'$"),
+            ("%%MatrixMarket matrix coordinate real general\n2 -2 0\n",
+             "^line 2: negative size in '2 -2 0'$"),
+            # the rejected chunk is scanned past its comment and blank lines
+            ("%%MatrixMarket matrix array real general\n2 2\n1.0\n% c\n\nx\n0.0\n",
+             "^line 6: cannot parse value 'x'$"),
+        ],
+    )
+    def test_rejected_file_names_its_line(self, tmp_path, text, message):
+        f = tmp_path / "bad.mtx"
+        f.write_text(text)
+        with pytest.raises(MatrixMarketError, match=message):
+            read_matrix_market(f)
+
     def test_unsupported_field(self, tmp_path):
         f = tmp_path / "bad.mtx"
         f.write_text("%%MatrixMarket matrix array complex general\n1 1\n1.0 0.0\n")
@@ -445,11 +484,32 @@ class TestErrors:
         with pytest.raises(ValueError):
             write_matrix_market(tmp_path / "x.mtx", np.array([[np.nan]]))
 
+    def test_write_rejects_unknown_format(self, tmp_path):
+        with pytest.raises(ValueError, match="^unsupported output format 'csv'$"):
+            write_matrix_market(tmp_path / "x.mtx", np.eye(2), fmt="csv")
+        assert not (tmp_path / "x.mtx").exists()
+
     def test_no_partial_file_on_failed_write(self, tmp_path):
         target = tmp_path / "sub" / "x.mtx"
         with pytest.raises(OSError):
             write_matrix_market(target, np.eye(2))
         assert not target.exists()
+
+    @pytest.mark.parametrize("existing", [False, True], ids=["new", "existing"])
+    def test_failed_write_keeps_the_target_and_no_temporary(self, tmp_path, existing):
+        target = tmp_path / "x.mtx"
+        if existing:
+            target.write_text("old\n")
+
+        def pieces():
+            yield "new\n"
+            raise RuntimeError("piece failed")
+
+        with pytest.raises(RuntimeError, match="piece failed"):
+            _atomic_write(target, pieces())
+        assert sorted(tmp_path.iterdir()) == ([target] if existing else [])
+        if existing:
+            assert target.read_text() == "old\n"
 
     def test_symmetric_coordinate_not_square_names_size_line(self, tmp_path):
         f = tmp_path / "bad.mtx"
