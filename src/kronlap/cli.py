@@ -60,7 +60,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dims", required=True, type=_dims_arg)
     p.add_argument("--method", choices=["auto", "direct"], default="auto",
                    help="auto: greedy solver with structure detection; direct: band Cholesky for a "
-                        "symmetric definite band, else pivoted LU (band or dense)")
+                        "symmetric definite band, else dense pivoted LU")
     p.add_argument("--eps", type=float)
     p.add_argument("--tol", type=float)
     p.add_argument("--rank-max", type=int)

@@ -344,6 +344,10 @@ def grou(
         raise ValueError("eps and tol must be positive")
     if rank_max < 1:
         raise ValueError("rank_max must be at least 1")
+    if als_iter_max < 1:
+        raise ValueError("als_iter_max must be at least 1")
+    if seed < 0:
+        raise ValueError("seed must be non-negative")
     b = _as_vector(b, op.n, "right-hand side")
     _require_finite(b, "right-hand side")
     x = np.zeros_like(b)
@@ -427,45 +431,24 @@ def _band_cholesky(a, kd: int):
     return factor, sign
 
 
-def _band_lu(a, kl: int, ku: int):
-    """Pivoted LU of ``a`` in LAPACK band storage: (factor, pivots).
-
-    Row kl + ku of the (2kl + ku + 1) x N storage holds the diagonal; the kl
-    rows above the copied band take the fill that row interchanges create.
-    Raises ValueError when the copied band holds a non-finite entry.
-    """
-    n = a.shape[0]
-    ab = np.zeros((2 * kl + ku + 1, n), order="F")
-    for d in range(-kl, ku + 1):
-        ab[kl + ku - d, max(d, 0): n + min(d, 0)] = np.diagonal(a, d)
-    _require_finite(ab[kl:], "matrix")
-    lu, piv, _ = _linalg().lapack.dgbtrf(ab, kl, ku, overwrite_ab=True)
-    return lu, piv
-
-
 def direct_solve(a, b) -> np.ndarray:
     """Solve A x = b by a direct factorization (the reference path).
 
-    Three paths, chosen from A itself:
+    Two paths, chosen from A itself:
 
-    - Band Cholesky (``dpbtrf``/``dpbtrs``) when A's band fits (below), its
-      lower and upper bandwidths are equal, the band is exactly symmetric and
-      the diagonal has one strict sign, and ``dpbtrf`` finds A (or -A)
-      definite. It needs no pivoting (Higham, Accuracy and Stability, Thm
-      10.3); its pivots are l_ii^2, the pivots of the unpivoted LU.
-    - Band LU with partial pivoting (``dgbtrf``/``dgbtrs``) otherwise, when
-      the band that holds A's nonzeros, widened by the fill that pivoting can
-      create (2kl + ku + 1 diagonals), is no wider than N. Its pivots are the
-      |u_ii| of the pivoted LU.
-    - Dense LU with partial pivoting (``lu_factor``) on the whole matrix when
-      the band is wider. It picks the same pivot rows as band LU, so both
-      compute the same factors up to rounding.
+    - Band Cholesky (``dpbtrf``/``dpbtrs``) when A's lower and upper
+      bandwidths are equal (kd) with 3kd + 1 <= N, the band is exactly
+      symmetric and the diagonal has one strict sign, and ``dpbtrf`` finds A
+      (or -A) definite. It needs no pivoting (Higham, Accuracy and Stability,
+      Thm 10.3); its pivots are l_ii^2, the pivots of the unpivoted LU.
+    - Dense LU with partial pivoting (``lu_factor``) on the whole matrix for
+      every other A. Its pivots are the |u_ii| of the LU factor.
 
-    ``a`` is never written. A non-finite entry raises ValueError on every
-    path: the bandwidth counts NaN and inf as nonzero, so the band paths check
-    only their copied band.
+    ``a`` is never written. A non-finite entry raises ValueError on both
+    paths: the bandwidth counts NaN and inf as nonzero, so the band path
+    checks only its copied band.
 
-    Raises SingularMatrixError, on every path, when the smallest pivot is zero
+    Raises SingularMatrixError, on both paths, when the smallest pivot is zero
     or at most ``kron_core._PIVOT_TOL`` times the largest; the test is
     relative, so it does not depend on the scale of A.
     """
@@ -476,16 +459,11 @@ def direct_solve(a, b) -> np.ndarray:
     _require_finite(b, "right-hand side")
     linalg = _linalg()
     kl, ku = linalg.bandwidth(a)
-    # band storage then takes no more memory than lu_factor's copy of a; at
-    # that width dgbtrf took 0.64-0.71x the time of lu_factor (N = 1024-4096)
-    if 2 * kl + ku + 1 > n:
-        _require_finite(a, "matrix")
-        return linalg.lu_solve(_lu_factor(a, "matrix"), b, check_finite=False)
-    cholesky = _band_cholesky(a, kl) if kl == ku else None
-    if cholesky is not None:
-        factor, sign = cholesky
-        _require_nonsingular(factor[kl] ** 2, "matrix")
-        return linalg.lapack.dpbtrs(factor, sign * b)[0]
-    lu, piv = _band_lu(a, kl, ku)
-    _require_nonsingular(lu[kl + ku], "matrix")
-    return linalg.lapack.dgbtrs(lu, kl, ku, b, piv)[0]
+    if kl == ku and 3 * kl + 1 <= n:
+        cholesky = _band_cholesky(a, kl)
+        if cholesky is not None:
+            factor, sign = cholesky
+            _require_nonsingular(factor[kl] ** 2, "matrix")
+            return linalg.lapack.dpbtrs(factor, sign * b)[0]
+    _require_finite(a, "matrix")
+    return linalg.lu_solve(_lu_factor(a, "matrix"), b, check_finite=False)

@@ -177,11 +177,12 @@ def _fill(out, dims, symmetry, coordinate):
     rows, cols = dims[:2]
     if symmetry == "general":
         return out if coordinate else out.reshape(cols, rows).T.copy()
-    j, i = np.triu_indices(rows)  # (j, i) with i >= j, j slowest: column-major lower triangle
+    # m.T[upper] is the lower triangle in column-major order, as the array format stores it
+    upper = np.tri(rows, dtype=bool).T
     m = out if coordinate else np.zeros((rows, cols))
     if not coordinate:
-        m[i, j] = out
-    m[j, i] = m[i, j]
+        m.T[upper] = out
+    m[upper] = m.T[upper]
     return m
 
 

@@ -156,7 +156,7 @@ def test_criterion_5_lie_structure():
 
 @pytest.mark.parametrize("n", [4, 6])
 def test_criterion_6_grou_matches_direct(n):
-    with criterion(6, f"greedy solver vs dense LU on the n={n} grid", 60.0):
+    with criterion(6, f"greedy solver vs band Cholesky on the n={n} grid", 60.0):
         problem = build_poisson(n)
         op = LinearOperator.from_laplacian(problem.operator)
         report = grou(op, problem.rhs, eps=1e-6, tol=2.22e-6, rank_max=3000, als_iter_max=15)

@@ -287,6 +287,20 @@ class TestSolve:
         assert "must hold a vector" in capsys.readouterr().err
         assert not (tmp_path / "x.mtx").exists()
 
+    @pytest.mark.parametrize("flag, value, name", [
+        ("--als-iter-max", "0", "als_iter_max"), ("--seed", "-1", "seed"),
+    ])
+    def test_bad_als_option_on_zero_rhs_exit_2(self, tmp_path, capsys, flag, value, name):
+        am = tmp_path / "a.mtx"
+        bm = tmp_path / "b.mtx"
+        write_matrix_market(am, np.eye(6))
+        write_matrix_market(bm, np.zeros((6, 1)))
+        code = run("solve", "--matrix", str(am), "--rhs", str(bm), "--dims", "2,3",
+                   flag, value, "--output", str(tmp_path / "x.mtx"))
+        assert code == 2
+        assert name in capsys.readouterr().err
+        assert not (tmp_path / "x.mtx").exists()
+
 
 class TestGen:
     def test_laplacian_deterministic(self, tmp_path):

@@ -284,6 +284,15 @@ class TestGrou:
         with pytest.raises(ValueError, match="^rank_max must be at least 1$"):
             grou(identity_op((2, 3)), np.ones(6), rank_max=0)
 
+    @pytest.mark.parametrize("b", [np.zeros(6), np.ones(6)], ids=["zero", "nonzero"])
+    @pytest.mark.parametrize("option, message", [
+        ({"als_iter_max": 0}, r"^als_iter_max must be at least 1$"),
+        ({"seed": -1}, r"^seed must be non-negative$"),
+    ], ids=["als_iter_max", "seed"])
+    def test_als_options_checked_before_the_zero_rhs_return(self, b, option, message):
+        with pytest.raises(ValueError, match=message):
+            grou(identity_op((2, 3)), b, **option)
+
     @pytest.mark.parametrize("stop", ["eps", "tol"])
     def test_nan_stop_rejected(self, stop):
         # a NaN eps or tol never fires, so the solve ran on past its stop
@@ -470,7 +479,7 @@ class TestDirectSolve:
 
     @pytest.mark.parametrize("a", [np.array([[1.0, 2.0], [2.0, 4.0]]), np.diag([1.0, 0.0, 2.0])])
     def test_zero_pivot_tol_still_rejects_exact_zero_pivot(self, a):
-        # the 2 x 2 matrix takes the dense path, the diagonal one the band path
+        # both take the dense path: the diagonal one has no strict sign
         with mock.patch.object(kron_core, "_PIVOT_TOL", 0.0), pytest.raises(SingularMatrixError) as err:
             direct_solve(a, np.ones(a.shape[0]))
         assert err.value.pivot == 0.0
@@ -484,15 +493,17 @@ class TestDirectSolve:
         ],
     )
     def test_pivot_test_is_relative_to_scale(self, a, near, scale):
-        # dense path for the 2 x 2 pair, band path for the diagonal pair
+        # dense path for the 2 x 2 pair, band Cholesky for the diagonal pair
         b = np.ones(a.shape[0])
         x = direct_solve(scale * a, b)
         np.testing.assert_allclose(scale * x, np.linalg.solve(a, b), rtol=1e-13)
         with pytest.raises(SingularMatrixError):
             direct_solve(scale * near, b)
 
-    @pytest.mark.parametrize("kind", ["cholesky", "band", "dense"])
-    def test_no_dense_cap_on_held_arrays(self, kind, monkeypatch):
+    @pytest.mark.parametrize("kind, path", [
+        ("cholesky", "cholesky"), ("band", "dense"), ("dense", "dense"),
+    ], ids=["cholesky", "band", "dense"])
+    def test_no_dense_cap_on_held_arrays(self, kind, path, monkeypatch):
         # the cap bounds arrays kronlap builds; a 125 x 125 array the caller holds is solved under cap 64
         rng = np.random.default_rng(5)
         a = {
@@ -505,7 +516,7 @@ class TestDirectSolve:
         monkeypatch.setenv("KRONLAP_DENSE_CAP", "64")
         calls = spy_factorizations(monkeypatch)
         x = direct_solve(a, b)
-        assert [c[0] for c in calls] == [kind]
+        assert [c[0] for c in calls] == [path]
         assert np.linalg.norm(x - x_ref) <= 1e-10 * np.linalg.norm(x_ref)
 
     @pytest.mark.parametrize("a, message", [
@@ -533,7 +544,7 @@ class TestDirectSolve:
 
     @pytest.mark.parametrize("a", [np.eye(8), np.random.default_rng(9).standard_normal((8, 8))])
     def test_non_finite_rhs_rejected(self, a):
-        # the identity takes the band path, the full matrix the dense one
+        # the identity takes band Cholesky, the full matrix dense LU
         b = np.ones(8)
         b[3] = np.nan
         with pytest.raises(ValueError, match="right-hand side"):
@@ -541,7 +552,10 @@ class TestDirectSolve:
 
 
 def spy_factorizations(mp):
-    """Record each band Cholesky (kd), band LU (kl, ku) or dense LU that direct_solve runs."""
+    """Record each band Cholesky (kd) or dense LU that direct_solve runs.
+
+    Band LU (kl, ku) is recorded too, so a test fails if it ever runs.
+    """
     calls = []
     lapack = scipy.linalg.lapack
     cholesky, band, dense = lapack.dpbtrf, lapack.dgbtrf, scipy.linalg.lu_factor
@@ -572,11 +586,11 @@ def factorizations_for(values):
         return [("dense",)]
     diag = np.diag(values)
     if not (np.array_equal(values, values.T) and (diag.min() > 0.0 or diag.max() < 0.0)):
-        return [("band", kl, ku)]
+        return [("dense",)]
     d, _ = ldl_by_elimination(np.sign(diag[0]) * values)
     if d.min() > 0.0:
         return [("cholesky", kl)]
-    return [("cholesky", kl), ("band", kl, ku)]
+    return [("cholesky", kl), ("dense",)]
 
 
 def _gamma(k: int) -> float:
@@ -649,7 +663,7 @@ class TestBandDirectSolve:
             calls = spy_factorizations(mp)
             with pytest.raises(SingularMatrixError) as err:
                 direct_solve(a, np.ones(20))
-        assert calls == [("band", 1, 1)]
+        assert calls == [("dense",)]
         assert err.value.pivot == 0.0
 
     def test_poisson_takes_band_path_and_full_matrix_dense(self, monkeypatch):
@@ -709,7 +723,7 @@ class TestBandCholesky:
                 # |dA| <= gamma_(3n+1) |R^T| |R| = gamma_(3n+1) |L| D |L|^T
                 own_err = _gamma(3 * n + 1) * np.linalg.norm(ldl_abs, np.inf)
             else:
-                # band LU: the same pivot rows as the dense LU (Thm 9.4)
+                # dense LU: the same pivot rows as the reference LU (Thm 9.4)
                 assert abs(err.value.pivot - lu_pivots.min()) <= 2 * _gamma(3 * n) * lu_norm
                 pivots = lu_pivots
                 own_err = _gamma(3 * n) * lu_norm
@@ -723,34 +737,33 @@ class TestBandCholesky:
                 assert np.abs(x - x_ref).max() <= bound
         np.testing.assert_array_equal(a, values)  # the caller's matrix is never written
 
-    def test_mixed_sign_diagonal_takes_band_lu(self, monkeypatch):
+    def test_mixed_sign_diagonal_takes_dense_lu(self, monkeypatch):
         a = tridiagonal([4.0, -4.0] * 10)
         b = np.arange(20.0)
         calls = spy_factorizations(monkeypatch)
         x = direct_solve(a, b)
-        assert calls == [("band", 1, 1)]
+        assert calls == [("dense",)]
         np.testing.assert_allclose(x, np.linalg.solve(a, b), rtol=1e-13)
 
     # in the leading rows, in the middle, and in the trailing kd x kd block
     @pytest.mark.parametrize("where", [(0, 2), (2, 0), (9, 10), (18, 19), (19, 17)])
-    def test_one_ulp_asymmetry_takes_band_lu(self, monkeypatch, where):
+    def test_one_ulp_asymmetry_takes_dense_lu(self, monkeypatch, where):
         a = tridiagonal(np.full(20, 5.0)) - 0.5 * (np.eye(20, k=2) + np.eye(20, k=-2))
         a[where] = np.nextafter(a[where], 0.0)
         calls = spy_factorizations(monkeypatch)
         x = direct_solve(a, np.ones(20))
-        assert calls == [("band", 2, 2)]
+        assert calls == [("dense",)]
         np.testing.assert_allclose(x, np.linalg.solve(a, np.ones(20)), rtol=1e-13)
 
-    def test_failed_cholesky_falls_back_to_band_lu(self, monkeypatch):
+    def test_failed_cholesky_falls_back_to_dense_lu(self, monkeypatch):
         a = -tridiagonal(np.full(30, 2.5), off=1.0)  # negative definite
         b = np.linspace(-1.0, 1.0, 30)
         x_cholesky = direct_solve(a, b)
         monkeypatch.setattr(scipy.linalg.lapack, "dpbtrf", lambda ab, **kwargs: (ab, 1))
         calls = spy_factorizations(monkeypatch)
         x = direct_solve(a, b)
-        assert calls == [("cholesky", 1), ("band", 1, 1)]
-        lu, piv = grou_module._band_lu(a, 1, 1)
-        np.testing.assert_array_equal(x, scipy.linalg.lapack.dgbtrs(lu, 1, 1, b, piv)[0])
+        assert calls == [("cholesky", 1), ("dense",)]
+        np.testing.assert_array_equal(x, scipy.linalg.lu_solve(scipy.linalg.lu_factor(a), b))
         np.testing.assert_allclose(x, x_cholesky, rtol=1e-13)
 
     def test_singular_neumann_matrix_raises(self, monkeypatch):
@@ -759,7 +772,7 @@ class TestBandCholesky:
         calls = spy_factorizations(monkeypatch)
         with pytest.raises(SingularMatrixError) as err:
             direct_solve(a, np.ones(20))
-        assert calls == [("cholesky", 1), ("band", 1, 1)]  # its last Cholesky pivot is 0
+        assert calls == [("cholesky", 1), ("dense",)]  # its last Cholesky pivot is 0
         assert err.value.pivot == 0.0
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])

@@ -300,6 +300,33 @@ def test_coordinate_read_memory_stays_near_result_size(tmp_path):
     assert peak <= 3 * m.nbytes
 
 
+@pytest.mark.parametrize("fmt, bound", [("array", 2.5), ("coordinate", 2.0)])
+def test_symmetric_read_memory_stays_near_result_size(tmp_path, fmt, bound):
+    # the upper triangle is filled from the lower through one boolean mask,
+    # with no index arrays of the triangle's size
+    n = 512
+    j, i = np.triu_indices(n)  # the lower triangle (i, j), column-major
+    values = np.random.default_rng(0).standard_normal(i.size)
+    expected = np.zeros((n, n))
+    expected[i, j] = expected[j, i] = values
+    if fmt == "array":
+        lines = map(repr, values.tolist())
+        size = f"{n} {n}"
+    else:
+        lines = (f"{p} {q} {v!r}" for p, q, v in zip((i + 1).tolist(), (j + 1).tolist(), values.tolist()))
+        size = f"{n} {n} {i.size}"
+    f = tmp_path / "sym.mtx"
+    f.write_text(f"%%MatrixMarket matrix {fmt} real symmetric\n{size}\n" + "\n".join(lines) + "\n")
+    tracemalloc.start()
+    try:
+        m = read_matrix_market(f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    np.testing.assert_array_equal(m, expected)
+    assert peak <= bound * m.nbytes
+
+
 @pytest.mark.parametrize(
     "head", ["array real general\n50000 50000", "coordinate real general\n50000 50000 1"],
     ids=["array", "coordinate"],
