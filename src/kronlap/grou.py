@@ -6,6 +6,16 @@ solution of A x = b. Operators are applied matrix-free, so the structured
 (Laplacian-like) path never materializes an N x N matrix; its ALS step builds
 each mode's least-squares problem from the factor vectors and applies the
 operator only once per term, to the accepted correction.
+
+The structured kind has two mode steps, chosen once per operator. When every
+factor is exactly symmetric, the step runs in the factors' eigenbasis, where
+the mode matrix has orthogonal columns and the least-squares solution is a
+ratio of two O(N) contractions. Otherwise a thin QR reduces the mode matrix
+to 2n_k x n_k and pivoted QR (``dgelsy``) solves that, as the dense kind
+solves its N x n_k mode matrix. One rank rule holds on every step: a mode
+matrix column whose singular value is at most eps * N times the largest is
+cut, ``dgelsy`` judging by its condition estimate and the eigenbasis step by
+the exact singular values, and the fit is then flagged rank deficient.
 """
 
 import math
@@ -101,11 +111,14 @@ class LinearOperator:
     :func:`als_rank_one` for its own form, so no caller asks which kind it
     holds. ``_mode_step(r, factors)`` returns ``step(k, with_objective)``,
     which fits factor k with the others fixed and returns (y_k, objective
-    or None, rank_deficient); it reads ``factors`` as the caller updates
-    it. ``laplacian`` is the structured form, None on the dense kind.
+    or None, rank_deficient); the caller stores each y_k in ``factors``,
+    which the QR steps read as it changes and the eigenbasis step reads
+    once, at the start. The steps fit 2^``_fit_exponent`` * A.
+    ``laplacian`` is the structured form, None on the dense kind.
     """
 
     laplacian: LaplacianLike | None = None
+    _fit_exponent = 0
 
     @staticmethod
     def from_dense(a, dims) -> "LinearOperator":
@@ -125,8 +138,10 @@ class GrouReport:
     """Solve outcome: estimate, per-iteration residual norms, and stop reason.
 
     ``rank_deficient_terms`` counts the accepted terms whose ALS fit met a
-    mode matrix of numerical rank below n_k, by one rule on both operator
-    kinds (see :func:`als_rank_one`). ``als_sweeps`` holds the ALS sweeps of
+    mode matrix of numerical rank below n_k, by one rule on every mode step:
+    a column with singular value at most eps * N times the largest is cut,
+    as estimated by ``dgelsy`` on the QR steps and exactly on the eigenbasis
+    step (see :func:`als_rank_one`). ``als_sweeps`` holds the ALS sweeps of
     each accepted term, in order.
     """
 
@@ -223,31 +238,110 @@ class _DenseOperator(LinearOperator):
 class _LaplacianOperator(LinearOperator):
     """A Laplacian-like form, applied by mode-wise contractions with no N x N matrix.
 
-    Its ALS step never applies A: the mode-k matrix has the two-term form
-    w0 (x)_k C_k + s (x)_k I (see :func:`_mode_weights`), so a step costs
-    O(d*N + n_k^3): a thin QR of [w0 s] reduces it to a 2n_k x n_k matrix
-    with the same singular values (see :func:`_structured_step`).
+    Its ALS step never applies A. The constructor picks one of two steps
+    from the canonical factors, once:
+
+    - Every factor exactly symmetric (``np.array_equal(f, f.T)``): each is
+      diagonalized, A_i = V_i diag(mu_i) V_i^T, so A = V diag(D) V^T with
+      V = (x)_i V_i orthogonal and D = alpha + (+)_i mu_i, the fast
+      diagonalization of Lynch, Rice & Thomas (Numer. Math. 6, 1964). In
+      that basis the mode-k matrix has orthogonal columns, so its exact
+      minimum-norm least-squares solution is a ratio of two O(N)
+      contractions (see :meth:`_eigen_mode_step`). D is kept scaled by
+      2^``_fit_exponent`` so that max |D| is in [1/2, 1).
+    - Otherwise the mode-k matrix has the two-term form
+      w0 (x)_k C_k + s (x)_k I (see :func:`_mode_weights`), so a step costs
+      O(d*N + n_k^3): a thin QR of [w0 s] reduces it to a 2n_k x n_k matrix
+      with the same singular values (see :func:`_structured_step`).
+
+    The eigenbasis step keeps the d bases V_i, D and the d mode-k unfoldings
+    of D^2 (the first one a view), so d + 1 arrays of length N; the QR step
+    keeps only the d matrices C_k.
     """
 
     def __init__(self, lap: LaplacianLike):
         self.laplacian, self.dims = lap, lap.dims
+        modes = lap.dims.modes
+        self._bases = None
+        if all(np.array_equal(f, f.T) for f in lap.factors):
+            # divide and conquer: the step's transform is exact only for orthogonal V_i, and
+            # the default MRRR driver's V_i drift up to ~300 eps from orthogonal at n = 32
+            eigh = _linalg().eigh
+            pairs = [eigh(f, driver="evd", check_finite=False) for f in lap.factors]
+            self._bases = [v for _, v in pairs]
+            spectrum = reduce(np.add.outer, [mu for mu, _ in pairs], lap.alpha)
+            self._fit_exponent = -math.frexp(float(np.abs(spectrum).max()))[1]
+            spectrum = np.ldexp(spectrum, self._fit_exponent)
+            self._spectrum = spectrum.reshape(-1)
+            # mode k first, the others in order: the axes of a mode-k unfolding
+            d = len(modes)
+            self._unfold = [(k, *(j for j in range(d) if j != k)) for k in range(d)]
+            squares = spectrum * spectrum
+            self._squares = [
+                squares.transpose(axes).reshape(n_k, -1) for axes, n_k in zip(self._unfold, modes)
+            ]
+        else:
+            self._eyes = [np.eye(n_k) for n_k in modes]
+            self._c_modes = [lap.alpha * eye + f for eye, f in zip(self._eyes, lap.factors)]
 
     def apply(self, x) -> np.ndarray:
         return lap_matvec(self.laplacian, x)
 
     def _mode_step(self, r, factors):
+        if self._bases is not None:
+            return self._eigen_mode_step(r, factors)
         lap, modes = self.laplacian, self.dims.modes
         t = r.reshape(modes)
         r_modes = [np.moveaxis(t, k, 0).reshape(n_k, -1) for k, n_k in enumerate(modes)]
-        eyes = [np.eye(n_k) for n_k in modes]
-        c_modes = [lap.alpha * eye + f for eye, f in zip(eyes, lap.factors)]
         images = [f @ y for f, y in zip(lap.factors, factors)]  # A_k y_k, kept current
 
         def step(k: int, with_objective: bool):
             w, s = _mode_weights(factors, images, k)
-            out = _structured_step(c_modes[k], eyes[k], w, s, r_modes[k], with_objective)
+            c, eye = self._c_modes[k], self._eyes[k]
+            out = _structured_step(c, eye, w, s, r_modes[k], with_objective)
             images[k] = lap.factors[k] @ out[0]
             return out
+
+        return step
+
+    def _eigen_mode_step(self, r, factors):
+        """The mode step in the eigenbasis, where the fit is r^ ~ D o (x)_i y^_i.
+
+        r^ = V^T r is formed once, by d mode products, and the start factors
+        are rotated, y^_i = V_i^T y_i. Mode k's matrix has the column
+        D[p, :] o w^ in row block p, with w^ = (x)_{j != k} y^_j, so the
+        columns are orthogonal, sigma_p^2 = sum_m D[p, m]^2 w^_m^2 are its
+        singular values and y^_k,p = sum_m r^[p, m] D[p, m] w^_m / sigma_p^2.
+        A column with sigma_p <= eps * N * max sigma is cut (y^_k,p = 0, rank
+        deficient), the rank rule ``dgelsy`` applies to its estimates. The
+        objective ||r^ - D o (x)_i y^_i|| is taken from the residual itself.
+        Each step returns V_k y^_k.
+        """
+        modes, bases, unfold = self.dims.modes, self._bases, self._unfold
+        t = r.reshape(modes)
+        for k, v in enumerate(bases):
+            t = (t.swapaxes(k, -1) @ v).swapaxes(k, -1)  # V_k^T on mode k
+        r_hat = t.reshape(-1)
+        g = (r_hat * self._spectrum).reshape(modes)
+        g_modes = [g.transpose(axes).reshape(n_k, -1) for axes, n_k in zip(unfold, modes)]
+        hats = [v.T @ y for v, y in zip(bases, factors)]
+        cutoff = _EPS * self.dims.n
+
+        def step(k: int, with_objective: bool):
+            others = hats[:k] + hats[k + 1:]
+            w = reduce(np.multiply.outer, others).reshape(-1) if others else np.ones(1)
+            squares = self._squares[k] @ (w * w)
+            sigma = np.sqrt(squares)
+            kept = sigma > cutoff * sigma.max()
+            deficient = not kept.all()
+            if deficient:  # a cut column, or all of them: y^_k,p = 0 there
+                squares[~kept] = np.inf
+            hats[k] = (g_modes[k] @ w) / squares
+            objective = None
+            if with_objective:
+                fit = reduce(np.multiply.outer, hats).reshape(-1) * self._spectrum
+                objective = float(np.linalg.norm(r_hat - fit))
+            return bases[k] @ hats[k], objective, deficient
 
         return step
 
@@ -266,13 +360,18 @@ def als_rank_one(
     ``_ALS_REL_TOL``. The sweeps run are recorded in the result's ``sweeps``.
 
     Each operator kind supplies its own mode step (see its class): the
-    structured kind never applies A inside the fit. Both take the
-    minimum-norm solution by pivoted QR with the rank cutoff eps * N, and a
-    lower rank flags ``rank_deficient``. The objective is computed from the
-    residual itself, once per pass after its last mode step, where the stop
-    reads it; ||r||^2 - ||r_k Q||^2 would cancel below the stopping rule.
-    The fit runs on 2^e * r with max |2^e * r| in [1/2, 1) and its factor 0
-    is scaled back by 2^-e, exactly, so 2^k * r gets 2^k times the fit of r.
+    structured kind never applies A inside the fit. Every step takes the
+    minimum-norm solution with the rank cutoff eps * N, by pivoted QR on the
+    dense kind and on nonsymmetric structured factors, and in closed form in
+    the eigenbasis of symmetric ones; a lower rank flags ``rank_deficient``.
+    The objective is computed from the residual itself, once per pass after
+    its last mode step, where the stop reads it; ||r||^2 - ||r_k Q||^2, or
+    ||r||^2 minus the squared fit, would cancel below the stopping rule.
+    The fit runs on 2^e * r with max |2^e * r| in [1/2, 1), and the
+    eigenbasis step on 2^``op._fit_exponent`` * A with max |D| in [1/2, 1);
+    factor 0 is scaled back by both powers of two at once, exactly. So
+    2^k * r gets exactly 2^k times the fit of r, and 2^k * A gets 2^-k times
+    it up to rounding, with no overflow or underflow in between.
     A non-finite residual raises ValueError.
     """
     if iter_max < 1:
@@ -288,7 +387,7 @@ def als_rank_one(
     r = np.ldexp(r, e)
     rng = np.random.default_rng(seed)
     factors = [v / np.linalg.norm(v) for v in (rng.standard_normal(n) for n in dims.modes)]
-    step = op._mode_step(r, factors)  # reads factors as they are updated below
+    step = op._mode_step(r, factors)  # a QR step reads factors as they are updated below
     rank_deficient = False
     objective = None
     for sweeps in range(1, iter_max + 1):
@@ -305,7 +404,7 @@ def als_rank_one(
         if previous is not None and previous - objective <= rel_tol * previous:
             break
     y = RankOneVector(dims, tuple(factors), rank_deficient=rank_deficient, sweeps=sweeps)
-    y.factors = (np.ldexp(y.factors[0], -e), *y.factors[1:])
+    y.factors = (np.ldexp(y.factors[0], op._fit_exponent - e), *y.factors[1:])
     return y
 
 

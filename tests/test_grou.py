@@ -1,6 +1,7 @@
 import importlib
 import re
 import tracemalloc
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -194,6 +195,20 @@ class TestAlsRankOne:
         assert ys.sweeps == y.sweeps
         np.testing.assert_allclose(ys.to_vector() / scale, y.to_vector(), rtol=1e-12)
 
+    @pytest.mark.parametrize("k", [-1000, -500, 500, 1000])
+    def test_operator_far_from_unit_size(self, k):
+        # the eigenbasis step keeps D scaled to max |D| in [1/2, 1) and puts
+        # the power of two back once, on the fit
+        lap = build_poisson(4).operator
+        scaled = LaplacianLike(lap.dims, 2.0**k * lap.alpha, tuple(2.0**k * f for f in lap.factors))
+        r = np.random.default_rng(0).standard_normal(lap.n)
+        y = als_rank_one(LinearOperator.from_laplacian(lap), r).to_vector()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ys = als_rank_one(LinearOperator.from_laplacian(scaled), r).to_vector()
+        # compared at unit size, where the norm of 2^-k y neither overflows nor underflows
+        assert np.linalg.norm(np.ldexp(ys, k) - y) <= 1e-14 * np.linalg.norm(y)
+
     def test_objective_never_worse_than_zero_fit(self):
         rng = np.random.default_rng(3)
         op = LinearOperator.from_dense(rng.standard_normal((12, 12)), (3, 4))
@@ -304,6 +319,19 @@ def dense_twin(lap):
     return LinearOperator.from_dense(lap_to_dense(lap), lap.dims)
 
 
+def spy_dgelsy(mp):
+    """Record each call of dgelsy, the QR steps' least-squares routine."""
+    calls = []
+    dgelsy = scipy.linalg.lapack.dgelsy
+
+    def spy(*args, **kwargs):
+        calls.append(args[0].shape)
+        return dgelsy(*args, **kwargs)
+
+    mp.setattr(scipy.linalg.lapack, "dgelsy", spy)
+    return calls
+
+
 def finite_vectors(n):
     # the oracle's 0-d zeros seed turns an image's -0.0 into 0.0 (an equal value
     # with other bits), so no -0.0 is drawn: x + 0.0 maps it to 0.0
@@ -324,16 +352,33 @@ class TestStructuredModeStep:
         assert s.tobytes() == s_ref.tobytes()
 
     @pytest.mark.parametrize("modes", [(7,), (2, 3), (3, 2, 4), (2, 3, 2, 2)])
-    def test_matches_dense_path(self, modes):
+    def test_matches_dense_path(self, modes, monkeypatch):
         rng = np.random.default_rng(len(modes))
         lap = random_laplacian_like(modes, rng, alpha=2.0 * len(modes) + 3.0 + rng.uniform())
+        # the same draw made symmetric takes the eigenbasis step, with no dgelsy
+        symmetric = LaplacianLike(lap.dims, lap.alpha, tuple(f + f.T for f in lap.factors))
         b = rng.standard_normal(lap.n)
-        rep_struct = grou(LinearOperator.from_laplacian(lap), b, seed=4)
-        rep_dense = grou(dense_twin(lap), b, seed=4)
-        assert rep_struct.terms_used == rep_dense.terms_used >= 1
-        np.testing.assert_allclose(
-            rep_struct.residual_history, rep_dense.residual_history, rtol=0, atol=1e-10
-        )
+        calls = spy_dgelsy(monkeypatch)
+        for form, qr_step in [(lap, True), (symmetric, False)]:
+            calls.clear()
+            rep_struct = grou(LinearOperator.from_laplacian(form), b, seed=4)
+            assert bool(calls) == qr_step
+            rep_dense = grou(dense_twin(form), b, seed=4)
+            assert rep_struct.terms_used == rep_dense.terms_used >= 1
+            np.testing.assert_allclose(
+                rep_struct.residual_history, rep_dense.residual_history, rtol=0, atol=1e-10
+            )
+
+    def test_one_ulp_asymmetry_takes_the_qr_step(self, monkeypatch):
+        lap = build_poisson(4).operator
+        factors = [f.copy() for f in lap.factors]
+        factors[1][0, 1] = np.nextafter(factors[1][0, 1], np.inf)
+        r = np.random.default_rng(0).standard_normal(lap.n)
+        calls = spy_dgelsy(monkeypatch)
+        als_rank_one(LinearOperator.from_laplacian(lap), r)
+        assert calls == []
+        als_rank_one(LinearOperator.from_laplacian(LaplacianLike(lap.dims, lap.alpha, factors)), r)
+        assert calls
 
     def test_zero_operator_stagnates(self):
         op = LinearOperator.from_laplacian(LaplacianLike.zeros((2, 3), alpha=0.0))
@@ -420,33 +465,89 @@ class TestStructuredModeStep:
         np.testing.assert_array_equal(sol_only, sol)
         assert none is None and deficient_only == deficient
 
-        m = mode_matrix_by_kron(c, w, s)
-        ref, _, rank, sigma = np.linalg.lstsq(m, r_k.reshape(-1), rcond=None)
-        ref_objective = np.linalg.norm(r_k.reshape(-1) - m @ ref)
-        assert deficient == (rank < n_k)
+        assert_step_matches_lstsq(sol, objective, deficient, c, w, s, r_k)
         if singular and not (with_s and len(modes) > 1):
             assert deficient
-        # Both routes are backward stable: each solves a problem whose matrix
-        # is off by at most d_m = gamma ||[w s]|| ||[C; I]|| and whose
-        # right-hand side by d_b = gamma ||r_k||. Over the kept singular values
-        # its solution then lies within (d_b + d_m ||x||) / sigma_r +
-        # d_m ||res|| / sigma_r^2 of the exact one, to first order (Higham,
-        # Accuracy and Stability, Thm 20.1); d_m <= sigma_r / 4 keeps the
-        # higher-order terms below that first-order bound.
-        gamma = 10 * n * n_k * np.finfo(float).eps
-        d_m = gamma * np.linalg.norm([w, s]) * np.linalg.norm(np.vstack([c, np.eye(n_k)]))
-        d_b = gamma * np.linalg.norm(r_k)
-        x_norm = np.linalg.norm(ref)
-        if rank == 0:
-            np.testing.assert_array_equal(sol, 0.0)
-            bound = 0.0
-        else:
-            sigma_r = sigma[rank - 1]
-            assert d_m <= 0.25 * sigma_r
-            bound = 2 * ((d_b + d_m * x_norm) / sigma_r + d_m * ref_objective / sigma_r**2)
-            assert np.linalg.norm(sol - ref) <= 2 * bound  # each route within `bound`
-        # objective: ||M|| ||sol - ref|| plus the rounding of each residual evaluation
-        assert abs(objective - ref_objective) <= sigma[0] * 2 * bound + 2 * (d_b + d_m * x_norm)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        modes=st.one_of(
+            st.lists(st.integers(1, 4), min_size=1, max_size=1),
+            st.lists(st.integers(2, 4), min_size=2, max_size=4),
+        ),
+        data=st.data(),
+        with_s=st.booleans(),
+        singular=st.booleans(),
+        shrink=st.integers(0, 4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_eigen_step_matches_lstsq_oracle(self, modes, data, with_s, singular, shrink, seed):
+        k = data.draw(st.integers(0, len(modes) - 1), label="k")
+        rng = np.random.default_rng(seed)
+        n_k = modes[k]
+        c = rng.standard_normal((n_k, n_k))
+        c += c.T
+        c[0] *= 10.0**-shrink  # eigenvalues down to about 1e-8, far above the cutoff eps N
+        c[:, 0] *= 10.0**-shrink
+        if singular:  # zero rows and columns give C exact zero eigenvalues
+            cut = rng.permutation(n_k)[: rng.integers(1, n_k + 1)]
+            c[cut] = 0.0
+            c[:, cut] = 0.0
+        # without s the other factors are 0, so w (x) C is rank deficient exactly with C
+        others = [rng.standard_normal((m, m)) if with_s else np.zeros((m, m)) for m in modes]
+        lap = LaplacianLike.from_factors(
+            modes, [c if i == k else f + f.T for i, f in enumerate(others)]
+        )
+        op = LinearOperator.from_laplacian(lap)
+        factors = [rng.standard_normal(m) for m in modes]
+        r = rng.standard_normal(lap.n)
+        sol, objective, deficient = op._mode_step(r, factors)(k, True)
+        sol_only, none, deficient_only = op._mode_step(r, factors)(k, False)
+        np.testing.assert_array_equal(sol_only, sol)
+        assert none is None and deficient_only == deficient
+
+        # the step fits 2^e A, e putting max |D| in [1/2, 1)
+        sol = np.ldexp(sol, op._fit_exponent)
+        c_k = lap.alpha * np.eye(n_k) + lap.factors[k]
+        images = [f @ y for f, y in zip(lap.factors, factors)]
+        w, s = mode_weights_by_scalar_seed(factors, images, k)
+        r_k = np.moveaxis(r.reshape(modes), k, 0).reshape(n_k, -1)
+        assert_step_matches_lstsq(sol, objective, deficient, c_k, w, s, r_k)
+        if singular and not with_s:
+            assert deficient
+
+
+def assert_step_matches_lstsq(sol, objective, deficient, c, w, s, r_k):
+    """Check a mode step's (y, objective, rank_deficient) against lstsq on w (x) C + s (x) I.
+
+    Both routes are backward stable: each solves a problem whose matrix is off
+    by at most d_m = gamma ||[w s]|| ||[C; I]|| and whose right-hand side by
+    d_b = gamma ||r_k||. Over the kept singular values its solution then lies
+    within (d_b + d_m ||x||) / sigma_r + d_m ||res|| / sigma_r^2 of the exact
+    one, to first order (Higham, Accuracy and Stability, Thm 20.1);
+    d_m <= sigma_r / 4 keeps the higher-order terms below that first-order
+    bound.
+    """
+    n_k = c.shape[0]
+    n = n_k * w.size
+    m = mode_matrix_by_kron(c, w, s)
+    ref, _, rank, sigma = np.linalg.lstsq(m, r_k.reshape(-1), rcond=None)
+    ref_objective = np.linalg.norm(r_k.reshape(-1) - m @ ref)
+    assert deficient == (rank < n_k)
+    gamma = 10 * n * n_k * np.finfo(float).eps
+    d_m = gamma * np.linalg.norm([w, s]) * np.linalg.norm(np.vstack([c, np.eye(n_k)]))
+    d_b = gamma * np.linalg.norm(r_k)
+    x_norm = np.linalg.norm(ref)
+    if rank == 0:
+        np.testing.assert_array_equal(sol, 0.0)
+        bound = 0.0
+    else:
+        sigma_r = sigma[rank - 1]
+        assert d_m <= 0.25 * sigma_r
+        bound = 2 * ((d_b + d_m * x_norm) / sigma_r + d_m * ref_objective / sigma_r**2)
+        assert np.linalg.norm(sol - ref) <= 2 * bound  # each route within `bound`
+    # objective: ||M|| ||sol - ref|| plus the rounding of each residual evaluation
+    assert abs(objective - ref_objective) <= sigma[0] * 2 * bound + 2 * (d_b + d_m * x_norm)
 
 
 class TestDirectSolve:
@@ -647,12 +748,13 @@ class TestBandDirectSolve:
         np.testing.assert_array_equal(a, values)  # the caller's matrix is never written
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    @pytest.mark.parametrize("where, band", [((0, 12), True), ((39, 0), False)])
-    def test_non_finite_far_off_diagonal_raises(self, bad, where, band):
+    @pytest.mark.parametrize("where, above", [((0, 12), True), ((39, 0), False)])
+    def test_non_finite_far_off_diagonal_raises(self, bad, where, above):
         a = 2.0 * np.eye(40) - np.eye(40, k=1) - np.eye(40, k=-1)
         a[where] = bad
         kl, ku = bandwidths_by_nonzeros(a)  # NaN and inf count as nonzero
-        assert (2 * kl + ku + 1 <= 40) == band
+        assert (ku > kl) == above
+        assert not (kl == ku and 3 * kl + 1 <= 40)  # no band Cholesky: dense LU checks A
         with pytest.raises(ValueError, match="matrix contains non-finite entries"):
             direct_solve(a, np.ones(40))
 
