@@ -7,15 +7,15 @@ solution of A x = b. Operators are applied matrix-free, so the structured
 each mode's least-squares problem from the factor vectors and applies the
 operator only once per term, to the accepted correction.
 
-The structured kind has two mode steps, chosen once per operator. When every
-factor is exactly symmetric, the step runs in the factors' eigenbasis, where
-the mode matrix has orthogonal columns and the least-squares solution is a
-ratio of two O(N) contractions. Otherwise a thin QR reduces the mode matrix
-to 2n_k x n_k and pivoted QR (``dgelsy``) solves that, as the dense kind
-solves its N x n_k mode matrix. One rank rule holds on every step: a mode
-matrix column whose singular value is at most eps * N times the largest is
-cut, ``dgelsy`` judging by its condition estimate and the eigenbasis step by
-the exact singular values, and the fit is then flagged rank deficient.
+The structured form has two kinds, picked by ``LinearOperator.from_laplacian``.
+``_EigenbasisOperator`` (every factor exactly symmetric) steps in the factors'
+eigenbasis, where the mode matrix has orthogonal columns and the least-squares
+solution is a ratio of two O(N) contractions. ``_LaplacianOperator`` reduces
+the mode matrix to 2n_k x n_k by a thin QR and solves that by pivoted QR
+(``dgelsy``), as ``_DenseOperator`` solves its N x n_k mode matrix. One rank
+rule holds on every step: a column whose singular value is at most eps * N
+times the largest is cut, ``dgelsy`` judging by its condition estimate and the
+eigenbasis step by the exact singular values; the fit is then rank deficient.
 """
 
 import math
@@ -107,13 +107,14 @@ def _unit_first(n: int) -> np.ndarray:
 class LinearOperator:
     """Square linear map on R^N, built by :meth:`from_dense` or :meth:`from_laplacian`.
 
-    Each of the two kinds defines ``apply`` and the mode step of
-    :func:`als_rank_one` for its own form, so no caller asks which kind it
-    holds. ``_mode_step(r, factors)`` returns ``step(k, with_objective)``,
-    which fits factor k with the others fixed and returns (y_k, objective
-    or None, rank_deficient); the caller stores each y_k in ``factors``,
-    which the QR steps read as it changes and the eigenbasis step reads
-    once, at the start. The steps fit 2^``_fit_exponent`` * A.
+    Three kinds, one class each: ``_DenseOperator``, and for the structured
+    form ``_EigenbasisOperator`` (symmetric factors) or ``_LaplacianOperator``.
+    Each defines ``apply`` and the mode step of :func:`als_rank_one`, so no
+    caller asks which kind it holds. ``_mode_step(r, factors)`` returns
+    ``step(k, with_objective)``, which fits factor k with the others fixed
+    and returns (y_k, objective or None, rank_deficient); the caller stores
+    each y_k in ``factors``, which the QR steps read as it changes and the
+    eigenbasis step once, at the start. The steps fit 2^``_fit_exponent`` * A.
     ``laplacian`` is the structured form, None on the dense kind.
     """
 
@@ -126,6 +127,8 @@ class LinearOperator:
 
     @staticmethod
     def from_laplacian(lap: LaplacianLike) -> "LinearOperator":
+        if all(np.array_equal(f, f.T) for f in lap.factors):
+            return _EigenbasisOperator(lap)
         return _LaplacianOperator(lap)
 
     @property
@@ -184,16 +187,16 @@ def _lstsq(a, b, n: int):
     return x[:n_k, 0], bool(rank < n_k)
 
 
-def _structured_step(c, eye, w, s, r_k, with_objective: bool):
+def _structured_step(c, w, s, r_k, with_objective: bool):
     """Minimize ||r_k - (C y) w^T - y s^T||_F over y, the structured mode step.
 
-    ``r_k`` is the residual with mode k moved first, shape (n_k, N / n_k), and
-    ``eye`` the n_k x n_k identity. The mode matrix is ([w s] (x) I)[C; I].
-    With the thin QR [w s] = QR, Q (x) I has orthonormal columns, so the
-    least-squares problem on (R (x) I)[C; I] = [R00 C + R01 I; R11 I] (one
-    block row when N / n_k = 1) against r_k Q has the same solutions and
-    singular values. Returns (y, objective, rank_deficient); the objective is
-    None unless ``with_objective``.
+    ``r_k`` is the residual with mode k moved first, shape (n_k, N / n_k). The
+    mode matrix is ([w s] (x) I)[C; I]. With the thin QR [w s] = QR, Q (x) I
+    has orthonormal columns, so the least-squares problem on
+    (R (x) I)[C; I] = [R00 C + R01 I; R11 I] (one block row when N / n_k = 1)
+    against r_k Q has the same solutions and singular values. Returns
+    (y, objective, rank_deficient); the objective is None unless
+    ``with_objective``.
     """
     n_k = c.shape[0]
     lapack = _linalg().lapack
@@ -202,7 +205,7 @@ def _structured_step(c, eye, w, s, r_k, with_objective: bool):
     q = lapack.dorgqr(qr[:, :tau.size], tau)[0]
     r = qr[:tau.size]
     r[1:, 0] = 0.0  # the Householder vector, below R's diagonal
-    small = (r[:, :1, None] * c + r[:, 1:, None] * eye).reshape(-1, n_k)
+    small = (r[:, :1, None] * c + r[:, 1:, None] * np.eye(n_k)).reshape(-1, n_k)
     sol, deficient = _lstsq(small, (r_k @ q).T.reshape(-1), w.size * n_k)
     if not with_objective:
         return sol, None, deficient
@@ -235,76 +238,72 @@ class _DenseOperator(LinearOperator):
         return step
 
 
+def _matricize(x, modes, k: int):
+    """Mode-k unfolding of ``x`` shaped ``modes``: mode k first, then the others in order."""
+    return np.moveaxis(x.reshape(modes), k, 0).reshape(modes[k], -1)
+
+
 class _LaplacianOperator(LinearOperator):
     """A Laplacian-like form, applied by mode-wise contractions with no N x N matrix.
 
-    Its ALS step never applies A. The constructor picks one of two steps
-    from the canonical factors, once:
-
-    - Every factor exactly symmetric (``np.array_equal(f, f.T)``): each is
-      diagonalized, A_i = V_i diag(mu_i) V_i^T, so A = V diag(D) V^T with
-      V = (x)_i V_i orthogonal and D = alpha + (+)_i mu_i, the fast
-      diagonalization of Lynch, Rice & Thomas (Numer. Math. 6, 1964). In
-      that basis the mode-k matrix has orthogonal columns, so its exact
-      minimum-norm least-squares solution is a ratio of two O(N)
-      contractions (see :meth:`_eigen_mode_step`). D is kept scaled by
-      2^``_fit_exponent`` so that max |D| is in [1/2, 1).
-    - Otherwise the mode-k matrix has the two-term form
-      w0 (x)_k C_k + s (x)_k I (see :func:`_mode_weights`), so a step costs
-      O(d*N + n_k^3): a thin QR of [w0 s] reduces it to a 2n_k x n_k matrix
-      with the same singular values (see :func:`_structured_step`).
-
-    The eigenbasis step keeps the d bases V_i, D and the d mode-k unfoldings
-    of D^2 (the first one a view), so d + 1 arrays of length N; the QR step
-    keeps only the d matrices C_k.
+    Its ALS step never applies A. The mode-k matrix has the two-term form
+    w0 (x)_k C_k + s (x)_k I (see :func:`_mode_weights`), so a step costs
+    O(d*N + n_k^3): a thin QR of [w0 s] reduces it to a 2n_k x n_k matrix
+    with the same singular values (see :func:`_structured_step`). It keeps
+    the d matrices C_k = alpha*I + A_k. ``from_laplacian`` returns this kind
+    when a factor is not exactly symmetric; built directly, it takes any form.
     """
 
     def __init__(self, lap: LaplacianLike):
         self.laplacian, self.dims = lap, lap.dims
-        modes = lap.dims.modes
-        self._bases = None
-        if all(np.array_equal(f, f.T) for f in lap.factors):
-            # divide and conquer: the step's transform is exact only for orthogonal V_i, and
-            # the default MRRR driver's V_i drift up to ~300 eps from orthogonal at n = 32
-            eigh = _linalg().eigh
-            pairs = [eigh(f, driver="evd", check_finite=False) for f in lap.factors]
-            self._bases = [v for _, v in pairs]
-            spectrum = reduce(np.add.outer, [mu for mu, _ in pairs], lap.alpha)
-            self._fit_exponent = -math.frexp(float(np.abs(spectrum).max()))[1]
-            spectrum = np.ldexp(spectrum, self._fit_exponent)
-            self._spectrum = spectrum.reshape(-1)
-            # mode k first, the others in order: the axes of a mode-k unfolding
-            d = len(modes)
-            self._unfold = [(k, *(j for j in range(d) if j != k)) for k in range(d)]
-            squares = spectrum * spectrum
-            self._squares = [
-                squares.transpose(axes).reshape(n_k, -1) for axes, n_k in zip(self._unfold, modes)
-            ]
-        else:
-            self._eyes = [np.eye(n_k) for n_k in modes]
-            self._c_modes = [lap.alpha * eye + f for eye, f in zip(self._eyes, lap.factors)]
+        self._c_modes = [lap.alpha * np.eye(n_k) + f for n_k, f in zip(lap.dims.modes, lap.factors)]
 
     def apply(self, x) -> np.ndarray:
         return lap_matvec(self.laplacian, x)
 
     def _mode_step(self, r, factors):
-        if self._bases is not None:
-            return self._eigen_mode_step(r, factors)
         lap, modes = self.laplacian, self.dims.modes
-        t = r.reshape(modes)
-        r_modes = [np.moveaxis(t, k, 0).reshape(n_k, -1) for k, n_k in enumerate(modes)]
+        r_modes = [_matricize(r, modes, k) for k in range(len(modes))]
         images = [f @ y for f, y in zip(lap.factors, factors)]  # A_k y_k, kept current
 
         def step(k: int, with_objective: bool):
             w, s = _mode_weights(factors, images, k)
-            c, eye = self._c_modes[k], self._eyes[k]
-            out = _structured_step(c, eye, w, s, r_modes[k], with_objective)
+            out = _structured_step(self._c_modes[k], w, s, r_modes[k], with_objective)
             images[k] = lap.factors[k] @ out[0]
             return out
 
         return step
 
-    def _eigen_mode_step(self, r, factors):
+
+class _EigenbasisOperator(LinearOperator):
+    """A Laplacian-like form with exactly symmetric factors, fitted in their eigenbasis.
+
+    Each factor is diagonalized, A_i = V_i diag(mu_i) V_i^T, so A = V diag(D) V^T
+    with V = (x)_i V_i orthogonal and D = alpha + (+)_i mu_i, the fast
+    diagonalization of Lynch, Rice & Thomas (Numer. Math. 6, 1964), and the
+    mode step is closed form in that basis (see :meth:`_mode_step`). D is kept
+    scaled by 2^``_fit_exponent`` so that max |D| is in [1/2, 1). The kind
+    keeps the d bases V_i, D and the d mode-k unfoldings of D^2 (the first
+    one a view), so d + 1 arrays of length N; ``from_laplacian`` returns it
+    when every factor is exactly symmetric.
+    """
+
+    def __init__(self, lap: LaplacianLike):
+        self.laplacian, self.dims = lap, lap.dims
+        # divide and conquer: the step's transform is exact only for orthogonal V_i, and
+        # the default MRRR driver's V_i drift up to ~300 eps from orthogonal at n = 32
+        eigh = _linalg().eigh
+        pairs = [eigh(f, driver="evd", check_finite=False) for f in lap.factors]
+        self._bases = [v for _, v in pairs]
+        spectrum = reduce(np.add.outer, [mu for mu, _ in pairs], lap.alpha)
+        self._fit_exponent = -math.frexp(float(np.abs(spectrum).max()))[1]
+        self._spectrum = np.ldexp(spectrum, self._fit_exponent).reshape(-1)
+        squares, modes = self._spectrum * self._spectrum, lap.dims.modes
+        self._squares = [_matricize(squares, modes, k) for k in range(len(modes))]
+
+    apply = _LaplacianOperator.apply
+
+    def _mode_step(self, r, factors):
         """The mode step in the eigenbasis, where the fit is r^ ~ D o (x)_i y^_i.
 
         r^ = V^T r is formed once, by d mode products, and the start factors
@@ -317,13 +316,13 @@ class _LaplacianOperator(LinearOperator):
         objective ||r^ - D o (x)_i y^_i|| is taken from the residual itself.
         Each step returns V_k y^_k.
         """
-        modes, bases, unfold = self.dims.modes, self._bases, self._unfold
+        modes, bases = self.dims.modes, self._bases
         t = r.reshape(modes)
         for k, v in enumerate(bases):
             t = (t.swapaxes(k, -1) @ v).swapaxes(k, -1)  # V_k^T on mode k
         r_hat = t.reshape(-1)
-        g = (r_hat * self._spectrum).reshape(modes)
-        g_modes = [g.transpose(axes).reshape(n_k, -1) for axes, n_k in zip(unfold, modes)]
+        g = r_hat * self._spectrum
+        g_modes = [_matricize(g, modes, k) for k in range(len(modes))]
         hats = [v.T @ y for v, y in zip(bases, factors)]
         cutoff = _EPS * self.dims.n
 

@@ -375,10 +375,45 @@ class TestStructuredModeStep:
         factors[1][0, 1] = np.nextafter(factors[1][0, 1], np.inf)
         r = np.random.default_rng(0).standard_normal(lap.n)
         calls = spy_dgelsy(monkeypatch)
-        als_rank_one(LinearOperator.from_laplacian(lap), r)
+        op = LinearOperator.from_laplacian(lap)
+        assert type(op) is grou_module._EigenbasisOperator
+        als_rank_one(op, r)
         assert calls == []
-        als_rank_one(LinearOperator.from_laplacian(LaplacianLike(lap.dims, lap.alpha, factors)), r)
+        op = LinearOperator.from_laplacian(LaplacianLike(lap.dims, lap.alpha, factors))
+        assert type(op) is grou_module._LaplacianOperator
+        als_rank_one(op, r)
         assert calls
+
+    @pytest.mark.parametrize("n", [5, 8])
+    def test_kinds_agree_on_poisson(self, n):
+        lap = build_poisson(n).operator
+        for seed in range(20):
+            assert_kinds_agree(lap, np.random.default_rng(seed))
+
+    def test_kinds_agree_on_symmetric_draws(self):
+        rng = np.random.default_rng(0)
+        for _ in range(300):
+            modes = None
+            while modes is None or np.prod(modes) > 512:
+                d = int(rng.integers(1, 5))  # modes of size 1 only when d = 1
+                modes = [int(m) for m in rng.integers(1 if d == 1 else 2, 9, size=d)]
+            lap = random_laplacian_like(modes, rng, alpha=2.0 * len(modes) + 3.0)
+            symmetric = LaplacianLike(lap.dims, lap.alpha, tuple(f + f.T for f in lap.factors))
+            assert_kinds_agree(symmetric, rng)
+
+    def test_eigenbasis_peak_memory_within_twice_the_qr_kind(self):
+        # the eigenbasis kind stores D and d unfoldings of D^2, length N each
+        problem = build_poisson(64)
+        kron_core._linalg()  # load scipy outside the traced calls
+        peaks = []
+        for kind in (grou_module._EigenbasisOperator, grou_module._LaplacianOperator):
+            tracemalloc.start()
+            try:
+                grou(kind(problem.operator), problem.rhs)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] <= 2 * peaks[1]
 
     def test_zero_operator_stagnates(self):
         op = LinearOperator.from_laplacian(LaplacianLike.zeros((2, 3), alpha=0.0))
@@ -457,11 +492,9 @@ class TestStructuredModeStep:
         ]
         w, s = grou_module._mode_weights(factors, images, k)
         r_k = rng.standard_normal((n_k, n // n_k))
-        sol, objective, deficient = grou_module._structured_step(c, np.eye(n_k), w, s, r_k, True)
+        sol, objective, deficient = grou_module._structured_step(c, w, s, r_k, True)
         # the objective is optional work: leaving it out changes nothing else
-        sol_only, none, deficient_only = grou_module._structured_step(
-            c, np.eye(n_k), w, s, r_k, False
-        )
+        sol_only, none, deficient_only = grou_module._structured_step(c, w, s, r_k, False)
         np.testing.assert_array_equal(sol_only, sol)
         assert none is None and deficient_only == deficient
 
@@ -517,6 +550,37 @@ class TestStructuredModeStep:
             assert deficient
 
 
+def assert_kinds_agree(lap, rng):
+    """Each mode step of the eigenbasis kind against the QR kind's, on one start.
+
+    ``lap`` has symmetric factors, so ``from_laplacian`` returns the eigenbasis
+    kind; the QR kind is built directly. Both get r scaled to max |r| in
+    [1/2, 1) and unit start factors, as ``als_rank_one`` gives them, and the
+    eigenbasis fit is scaled back by its 2^``_fit_exponent``. The fits agree
+    to 1e-12 relative. With one mode the mode matrix is C itself, so the fit
+    is an exact solve with C: both are backward stable, so they agree to
+    about cond(C) eps, and the objectives are rounding errors.
+    """
+    eigen, qr = LinearOperator.from_laplacian(lap), grou_module._LaplacianOperator(lap)
+    assert type(eigen) is grou_module._EigenbasisOperator
+    r = rng.standard_normal(lap.n)
+    r = np.ldexp(r, -np.frexp(np.abs(r).max())[1])
+    factors = [v / np.linalg.norm(v) for v in (rng.standard_normal(m) for m in lap.dims.modes)]
+    for k in range(lap.dims.d):
+        sol, objective, deficient = eigen._mode_step(r, factors)(k, True)
+        ref, ref_objective, ref_deficient = qr._mode_step(r, factors)(k, True)
+        assert deficient == ref_deficient
+        sol = np.ldexp(sol, eigen._fit_exponent)
+        if lap.dims.d == 1:
+            size = np.abs(eigen._spectrum)  # the eigenvalues of C, scaled
+            rtol = max(1e-12, 10 * np.finfo(float).eps * size.max() / size.min())
+            assert np.linalg.norm(sol - ref) <= rtol * np.linalg.norm(ref)
+            assert max(objective, ref_objective) <= 1e-12 * np.linalg.norm(r)
+        else:
+            assert np.linalg.norm(sol - ref) <= 1e-12 * np.linalg.norm(ref)
+            assert abs(objective - ref_objective) <= 1e-12 * ref_objective
+
+
 def assert_step_matches_lstsq(sol, objective, deficient, c, w, s, r_k):
     """Check a mode step's (y, objective, rank_deficient) against lstsq on w (x) C + s (x) I.
 
@@ -526,7 +590,7 @@ def assert_step_matches_lstsq(sol, objective, deficient, c, w, s, r_k):
     within (d_b + d_m ||x||) / sigma_r + d_m ||res|| / sigma_r^2 of the exact
     one, to first order (Higham, Accuracy and Stability, Thm 20.1);
     d_m <= sigma_r / 4 keeps the higher-order terms below that first-order
-    bound.
+    bound, so a draw outside that domain is discarded, not failed.
     """
     n_k = c.shape[0]
     n = n_k * w.size
@@ -543,7 +607,7 @@ def assert_step_matches_lstsq(sol, objective, deficient, c, w, s, r_k):
         bound = 0.0
     else:
         sigma_r = sigma[rank - 1]
-        assert d_m <= 0.25 * sigma_r
+        assume(d_m <= 0.25 * sigma_r)
         bound = 2 * ((d_b + d_m * x_norm) / sigma_r + d_m * ref_objective / sigma_r**2)
         assert np.linalg.norm(sol - ref) <= 2 * bound  # each route within `bound`
     # objective: ||M|| ||sol - ref|| plus the rounding of each residual evaluation
