@@ -357,6 +357,9 @@ def als_rank_one(
     change of fit that reads the same at every scale of r. The default 0
     stops only when a sweep does not improve it; :func:`grou` passes
     ``_ALS_REL_TOL``. The sweeps run are recorded in the result's ``sweeps``.
+    A zero factor ends no sweep early: every later mode step then returns
+    zero flagged ``rank_deficient``, the objective stays ||r||, and the next
+    sweep's stop test ends the fit with the zero vector.
 
     Each operator kind supplies its own mode step (see its class): the
     structured kind never applies A inside the fit. Every step takes the
@@ -393,13 +396,8 @@ def als_rank_one(
         previous = objective
         for k in range(dims.d):
             # the stop below reads only the sweep's last objective
-            sol, objective, deficient = step(k, k == dims.d - 1)
+            factors[k], objective, deficient = step(k, k == dims.d - 1)
             rank_deficient |= deficient
-            factors[k] = sol
-            if not sol.any():  # y = 0, so factor 0 needs no scaling back
-                return RankOneVector(
-                    dims, tuple(factors), rank_deficient=rank_deficient, sweeps=sweeps
-                )
         if previous is not None and previous - objective <= rel_tol * previous:
             break
     y = RankOneVector(dims, tuple(factors), rank_deficient=rank_deficient, sweeps=sweeps)
@@ -433,9 +431,12 @@ def grou(
     it. Each fit runs at most ``als_iter_max`` sweeps and ends earlier once a
     sweep lowers its objective by at most ``_ALS_REL_TOL`` (1e-4) times the
     previous sweep's; the sweeps of each accepted term are reported in
-    ``als_sweeps``. Stops when the residual norm falls below ``eps``, when
-    consecutive residual norms differ by less than ``tol`` (stagnation), or
-    after ``rank_max`` accepted terms. Non-convergence is reported through
+    ``als_sweeps``. A fitted term is kept only when it lowers the residual
+    norm; a zero fit, one that leaves the norm as it was or raises it, or a
+    non-finite norm is refused, and the solve stops on stagnation. It also
+    stops when the residual norm falls below ``eps``, when consecutive
+    residual norms differ by less than ``tol`` (stagnation too), or after
+    ``rank_max`` accepted terms. Non-convergence is reported through
     ``stop_reason``, never raised.
     """
     if not (eps > 0 and tol > 0):  # NaN too
@@ -461,14 +462,11 @@ def grou(
             op, r, iter_max=als_iter_max, seed=_term_seed(seed, i), rel_tol=_ALS_REL_TOL
         )
         yv = y.to_vector()
-        if not yv.any():
-            stop = STAGNATION
-            break
         r_new = r - op.apply(yv)
         norm_new = float(np.linalg.norm(r_new))
-        if norm_new > history[-1]:
-            # can only happen at rounding level; refuse the term rather than
-            # let the history tick upward
+        if not norm_new < history[-1]:
+            # a zero fit, one that leaves ||r|| as it was or raises it (the ALS
+            # never does worse than y = 0, so a rise is a rounding error), or NaN
             stop = STAGNATION
             break
         x = x + yv
@@ -479,7 +477,7 @@ def grou(
         if norm_new < eps:
             stop = RESIDUAL_BELOW_EPS
             break
-        if abs(norm_new - history[-2]) < tol:
+        if history[-2] - norm_new < tol:
             stop = STAGNATION
             break
     return GrouReport(x, history, len(sweeps), stop, deficient_terms, sweeps)

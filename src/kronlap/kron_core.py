@@ -286,7 +286,7 @@ def lap_matvec(lap: LaplacianLike, x) -> np.ndarray:
     t = _as_vector(x, lap.dims.n).reshape(lap.dims.modes)
     out = lap.alpha * t
     for i, f in enumerate(lap.factors):
-        out = out + np.moveaxis(np.tensordot(f, t, axes=(1, i)), 0, i)
+        out = out + (t.swapaxes(i, -1) @ f.T).swapaxes(i, -1)
     return out.reshape(-1)
 
 

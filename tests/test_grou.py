@@ -262,6 +262,30 @@ class TestGrou:
         np.testing.assert_array_equal(rep.x, np.zeros(6))
         assert rep.residual_history == [float(np.linalg.norm(b))]
 
+    def test_term_that_leaves_the_residual_unchanged_is_refused(self):
+        # a nonzero fit in the kernel of A changes x but not r
+        a = np.diag([1.0, 1.0, 1.0, 0.0, 0.0, 0.0])
+        op = LinearOperator.from_dense(a, (2, 3))
+        kernel_term = RankOneVector((2, 3), (np.array([0.0, 1.0]), np.ones(3)))
+        b = np.ones(6)
+        with mock.patch.object(grou_module, "als_rank_one", return_value=kernel_term):
+            rep = grou(op, b)
+        assert rep.stop_reason == STAGNATION
+        assert rep.terms_used == 0
+        np.testing.assert_array_equal(rep.x, np.zeros(6))
+        assert rep.residual_history == [float(np.linalg.norm(b))]
+
+    def test_term_with_a_non_finite_residual_is_refused(self):
+        # a NaN norm is not below the last one, so the solve stops on finite numbers
+        b = np.kron([1.0, 2.0], [3.0, -1.0, 0.5])
+        op = identity_op((2, 3))
+        op.apply = lambda v: np.full_like(v, np.nan)
+        rep = grou(op, b)
+        assert rep.stop_reason == STAGNATION
+        assert rep.terms_used == 0
+        np.testing.assert_array_equal(rep.x, np.zeros(6))
+        assert rep.residual_history == [float(np.linalg.norm(b))]
+
     def test_history_monotone_and_consistent(self):
         rng = np.random.default_rng(5)
         lap = random_laplacian_like((3, 4), rng, alpha=8.0)  # well conditioned
@@ -416,11 +440,24 @@ class TestStructuredModeStep:
         assert peaks[0] <= 2 * peaks[1]
 
     def test_zero_operator_stagnates(self):
-        op = LinearOperator.from_laplacian(LaplacianLike.zeros((2, 3), alpha=0.0))
-        rep = grou(op, np.ones(6))
-        assert rep.stop_reason == STAGNATION
-        assert rep.terms_used == 0
-        np.testing.assert_array_equal(rep.x, np.zeros(6))
+        # the first step's zero factor zeroes every later step; the unchanged
+        # objective ends the fit at the second sweep's stop test
+        lap, b = LaplacianLike.zeros((2, 3)), np.ones(6)
+        kinds = (
+            LinearOperator.from_laplacian(lap),
+            grou_module._LaplacianOperator(lap),
+            LinearOperator.from_dense(np.zeros((6, 6)), (2, 3)),
+        )
+        for op in kinds:
+            y = als_rank_one(op, b)
+            np.testing.assert_array_equal(y.to_vector(), np.zeros(6))
+            assert y.rank_deficient
+            assert y.sweeps == 2
+            rep = grou(op, b)
+            assert rep.stop_reason == STAGNATION
+            assert rep.terms_used == 0
+            np.testing.assert_array_equal(rep.x, np.zeros(6))
+            assert rep.residual_history == [float(np.linalg.norm(b))]
 
     def test_ill_conditioned_matches_dense(self):
         # A_1 = 0 makes the mode-0 matrix w0 (x) C_0 with cond(C_0) = 2e10

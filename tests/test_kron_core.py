@@ -272,6 +272,17 @@ class TestLapMatvec:
         got = lap_matvec(lap, x)
         np.testing.assert_allclose(got, dense @ x, rtol=1e-12, atol=1e-12)
 
+    @pytest.mark.parametrize("modes", [(5,), (2, 3), (3, 4, 5), (2, 3, 4, 5)], ids=str)
+    @pytest.mark.parametrize("strided", [False, True], ids=["contiguous", "strided"])
+    def test_matches_dense_every_order(self, modes, strided):
+        rng = np.random.default_rng(len(modes))
+        lap = random_laplacian_like(modes, rng)
+        x_big = rng.standard_normal(2 * lap.n)
+        x = x_big[::2] if strided else x_big[: lap.n]
+        np.testing.assert_allclose(
+            lap_matvec(lap, x), lap_to_dense(lap) @ x, rtol=1e-12, atol=1e-12
+        )
+
     def test_moderate_size_consistency(self):
         rng = np.random.default_rng(11)
         lap = random_laplacian_like((10, 10, 10), rng)
