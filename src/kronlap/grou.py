@@ -34,6 +34,7 @@ from .kron_core import (
     _as_vector,
     _linalg,
     _lu_factor,
+    _mode_product,
     _require_finite,
     _require_nonsingular,
     _require_square,
@@ -319,7 +320,7 @@ class _EigenbasisOperator(LinearOperator):
         modes, bases = self.dims.modes, self._bases
         t = r.reshape(modes)
         for k, v in enumerate(bases):
-            t = (t.swapaxes(k, -1) @ v).swapaxes(k, -1)  # V_k^T on mode k
+            t = _mode_product(v.T, t, k)
         r_hat = t.reshape(-1)
         g = r_hat * self._spectrum
         g_modes = [_matricize(g, modes, k) for k in range(len(modes))]

@@ -286,8 +286,20 @@ def lap_matvec(lap: LaplacianLike, x) -> np.ndarray:
     t = _as_vector(x, lap.dims.n).reshape(lap.dims.modes)
     out = lap.alpha * t
     for i, f in enumerate(lap.factors):
-        out = out + (t.swapaxes(i, -1) @ f.T).swapaxes(i, -1)
+        out = out + _mode_product(f, t, i)
     return out.reshape(-1)
+
+
+def _mode_product(f, t, i: int) -> np.ndarray:
+    """``f`` applied on mode ``i`` of the tensor ``t``.
+
+    Mode 0 is one matrix product with the (n_0, N/n_0) unfolding, which is a
+    view of a C-contiguous ``t``; any other mode is a product batched over a
+    strided view.
+    """
+    if i == 0:
+        return (f @ t.reshape(len(f), -1)).reshape(t.shape)
+    return (t.swapaxes(i, -1) @ f.T).swapaxes(i, -1)
 
 
 def lie_bracket(l1: LaplacianLike, l2: LaplacianLike) -> LaplacianLike:

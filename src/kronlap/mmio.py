@@ -8,6 +8,12 @@ step; a chunk it rejects is scanned line by line to name the offending
 1-based line, so a pipe reads like a file. Values are written in shortest
 round-tripping form, so read(write(M)) reproduces M exactly, a few thousand at
 a time, so the text of the whole matrix is never built.
+
+A Laplacian-like matrix is almost all +0.0, so an array file is mostly "0.0"
+lines. The writer writes each run of +0.0 as one block of such lines, and the
+reader leaves the slots of "0.0" lines zero and reads only the other lines
+with ``float``; the bytes written and the values read are those of one repr
+and one float per value.
 """
 
 import math
@@ -89,11 +95,12 @@ def read_matrix_market(path) -> np.ndarray:
     """Read a Matrix Market file into a dense 2-D float array.
 
     The body is read once, in chunks of about 64 KiB that end at a newline.
-    Array values go through ``float``, coordinate entries into (i, j, value)
-    rows; each chunk's count, finiteness and index ranges are checked as it
-    arrives, and a rejected chunk is scanned line by line to name the
-    offending line. A size line of more than cap^2 entries, or with more than
-    cap^2 rows or columns, raises SizeLimitError before anything is allocated.
+    Array values are read as ``float`` reads them (see :func:`_array_values`),
+    coordinate entries into (i, j, value) rows; each chunk's count, finiteness
+    and index ranges are checked as it arrives, and a rejected chunk is
+    scanned line by line to name the offending line. A size line of more
+    than cap^2 entries, or with more than cap^2 rows or columns, raises
+    SizeLimitError before anything is allocated.
     """
     with open(path, "r") as fh:
         (fmt, symmetry), number, size_line, rest = _read_head(fh)
@@ -119,16 +126,16 @@ def read_matrix_market(path) -> np.ndarray:
         coordinate = fmt == "coordinate"
         if coordinate:
             # entries are summed into the matrix as they come, so a false nnz allocates nothing
-            count, dtype, parse, out = dims[2], (float, 3), _entries, np.zeros(dims[:2])
+            count, parse, out = dims[2], _entries, np.zeros(dims[:2])
         else:
             count = dims[0] * dims[1] if symmetry == "general" else dims[0] * (dims[0] + 1) // 2
-            dtype, parse, out = float, lambda text: map(float, text.split()), np.empty(count)
+            parse, out = _array_values, np.empty(count)
         seen = 0
         # every chunk ends at a newline, so no line spans two chunks
         for chunk in chain([rest], iter(lambda: fh.read(1 << 16) + fh.readline(), "")):
             text, lines = _uncommented(chunk)
             try:
-                part = np.fromiter(parse(text), dtype=dtype)
+                part = parse(text)
                 inside = not coordinate or ((part[:, :2] >= 1) & (part[:, :2] <= dims[:2])).all()
                 good = inside and seen + len(part) <= count and np.isfinite(part).all()
             except (ValueError, OverflowError):  # OverflowError: an index beyond float range
@@ -161,12 +168,35 @@ def _uncommented(chunk):
     return "\n".join(line for line in lines if not line.lstrip().startswith("%")), len(lines)
 
 
+def _array_values(text):
+    """The values of the tokens of ``text``, each as ``float`` reads it.
+
+    "0.0" reads as +0.0, so text in the writer's layout, ASCII with one token
+    per LF-ended line, has the slots of its "0.0" lines left 0, and only its
+    other lines go through float: a token's ordinal is its line's. Any other
+    text, or text whose first 4 KiB hold no "0.0" line, is read token by token.
+    """
+    if text.isascii() and text.endswith("\n") and "\n0.0\n" in "\n" + text[:4096]:
+        b = np.frombuffer(text.encode("ascii"), np.uint8)
+        ends = np.flatnonzero(b == 10)  # of the lines
+        sizes = np.diff(ends, prepend=-1) - 1
+        # no space, tab or other separator in a line, and no blank line
+        if len(ends) == np.count_nonzero(b <= 32) and sizes.all():
+            zero = (sizes == 3) & (b[ends - 3] == 48) & (b[ends - 2] == 46) & (b[ends - 1] == 48)
+            other = ~zero
+            values = np.zeros(len(ends))
+            others = b[np.repeat(other, sizes + 1)].tobytes().decode("ascii")
+            values[other] = np.fromiter(map(float, others.split()), float)
+            return values
+    return np.fromiter(map(float, text.split()), float)
+
+
 def _entries(chunk):
-    """(i, j, value) of each entry line of ``chunk``, parsed by int, int and float."""
+    """(i, j, value) rows of the entry lines of ``chunk``, parsed by int, int and float."""
     fields = list(filter(None, map(str.split, chunk.splitlines())))
     # the strict zip or the unpacking raises ValueError unless every line has three fields
     i, j, v = zip(*fields, strict=True) if fields else ((), (), ())
-    return zip(map(int, i), map(int, j), map(float, v))
+    return np.fromiter(zip(map(int, i), map(int, j), map(float, v)), (float, 3))
 
 
 def _fill(out, dims, symmetry, coordinate):
@@ -237,7 +267,7 @@ def write_matrix_market(path, matrix, fmt: str = "array"):
     if fmt == "array":
         head = f"{_BANNER} matrix array real general\n{rows} {cols}\n"
         values = m.T.flat  # column-major
-        body = (_lines(map(repr, values[k : k + piece].tolist())) for k in range(0, m.size, piece))
+        body = (_array_lines(values[k : k + piece]) for k in range(0, m.size, piece))
     else:
         head = f"{_BANNER} matrix coordinate real general\n{rows} {cols} {np.count_nonzero(m)}\n"
         step = max(1, piece // max(cols, 1))  # rows per piece
@@ -249,6 +279,21 @@ def _lines(texts):
     """The texts, each ended by a newline."""
     text = "\n".join(texts)
     return text + "\n" if text else text
+
+
+def _array_lines(v):
+    """The lines of the values ``v``: the repr of each, but a run of +0.0 as one block of "0.0".
+
+    Only the bits of +0.0 are all zero, so -0.0 goes through repr as any other value.
+    """
+    nonzero = np.flatnonzero(v.view(np.int64))
+    texts = list(map(repr, v[nonzero].tolist()))
+    runs = np.diff(nonzero, append=v.size) - 1  # the zeros after each nonzero
+    ends = np.flatnonzero(runs)
+    for k, run in zip(ends.tolist(), runs[ends].tolist()):
+        texts[k] += "\n0.0" * run
+    lead = int(nonzero[0]) if nonzero.size else v.size
+    return "0.0\n" * lead + _lines(texts)
 
 
 def _entry_lines(block, first_row):

@@ -5,10 +5,11 @@ Frobenius inner product as an entrywise sum, partial traces by explicit
 multi-index loops, projections by solving the normal equations over an
 explicit basis, the matrix exponential by a truncated power series,
 linear solves by scipy's dense pivoted LU with no band storage, the
-unpivoted LDL^T by plain elimination, and the structured ALS mode matrix as an explicit Kronecker sum. The exception is
-`projection_by_embed`, the projection pass written with the library's full
-N x N `embed`, kept as a bit-exact reference for the factors of the
-library's support-only engine.
+unpivoted LDL^T by plain elimination, the structured ALS mode matrix as an
+explicit Kronecker sum, and a Matrix Market array file as one repr per
+value. The exception is `projection_by_embed`, the projection pass written
+with the library's full N x N `embed`, kept as a bit-exact reference for the
+factors of the library's support-only engine.
 """
 
 import math
@@ -253,3 +254,10 @@ def poisson_by_fast_diagonalization(n, b):
     t = np.einsum("ai,bj,ck,abc->ijk", q, q, q, np.asarray(b, float).reshape(n, n, n))
     t /= lam[:, None, None] + lam[None, :, None] + lam[None, None, :]
     return np.einsum("ai,bj,ck,ijk->abc", q, q, q, t).reshape(-1)
+
+
+def matrix_market_array_by_repr(m) -> str:
+    """The text of ``m`` as a general Matrix Market array file: one repr per value, column-major."""
+    rows, cols = m.shape
+    values = "".join(f"{v!r}\n" for v in m.T.reshape(-1).tolist())
+    return f"%%MatrixMarket matrix array real general\n{rows} {cols}\n" + values

@@ -7,7 +7,7 @@ from unittest import mock
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from kronlap import (
@@ -507,19 +507,25 @@ class TestStructuredModeStep:
 
     @settings(max_examples=200, deadline=None)
     @given(
-        modes=st.lists(st.integers(1, 4), min_size=1, max_size=4),
-        data=st.data(),
+        modes_k=st.lists(st.integers(1, 4), min_size=1, max_size=4).flatmap(
+            lambda modes: st.tuples(st.just(modes), st.integers(0, len(modes) - 1))
+        ),
         with_s=st.booleans(),
         singular=st.booleans(),
         shrink=st.integers(0, 8),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_step_matches_lstsq_oracle(self, modes, data, with_s, singular, shrink, seed):
-        k = data.draw(st.integers(0, len(modes) - 1), label="k")
+    # a Gaussian C with its first column scaled by 1e-8 drew cond(C) = 1.6e11 here,
+    # which put d_m past sigma_r / 4
+    @example(modes_k=([4, 3, 3, 4], 0), with_s=False, singular=False, shrink=8, seed=6806)
+    def test_step_matches_lstsq_oracle(self, modes_k, with_s, singular, shrink, seed):
+        modes, k = modes_k
         rng = np.random.default_rng(seed)
         n_k, n = modes[k], int(np.prod(modes))
-        c = rng.standard_normal((n_k, n_k))
-        c[:, 0] *= 10.0**-shrink  # cond(C) past 1e8, still far from the cutoff 1 / (eps N)
+        # singular values from 1 down to 10^-shrink between random orthogonal bases:
+        # cond(C) = 10^shrink <= 1e8, still far from the cutoff 1 / (eps N)
+        u, v = (np.linalg.qr(rng.standard_normal((n_k, n_k)))[0] for _ in range(2))
+        c = (u * np.logspace(0, -shrink, n_k)) @ v.T
         if singular:  # zero columns make w (x) C, with s = 0, exactly rank deficient
             c[:, rng.permutation(n_k)[: rng.integers(1, n_k + 1)]] = 0.0
         factors = [rng.standard_normal(m) for m in modes]
@@ -627,7 +633,7 @@ def assert_step_matches_lstsq(sol, objective, deficient, c, w, s, r_k):
     within (d_b + d_m ||x||) / sigma_r + d_m ||res|| / sigma_r^2 of the exact
     one, to first order (Higham, Accuracy and Stability, Thm 20.1);
     d_m <= sigma_r / 4 keeps the higher-order terms below that first-order
-    bound, so a draw outside that domain is discarded, not failed.
+    bound; the callers draw only inside that domain.
     """
     n_k = c.shape[0]
     n = n_k * w.size
@@ -644,7 +650,7 @@ def assert_step_matches_lstsq(sol, objective, deficient, c, w, s, r_k):
         bound = 0.0
     else:
         sigma_r = sigma[rank - 1]
-        assume(d_m <= 0.25 * sigma_r)
+        assert d_m <= 0.25 * sigma_r
         bound = 2 * ((d_b + d_m * x_norm) / sigma_r + d_m * ref_objective / sigma_r**2)
         assert np.linalg.norm(sol - ref) <= 2 * bound  # each route within `bound`
     # objective: ||M|| ||sol - ref|| plus the rounding of each residual evaluation

@@ -9,8 +9,17 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from kronlap import MatrixMarketError, SizeLimitError, read_matrix_market, write_matrix_market
+from kronlap import (
+    MatrixMarketError,
+    SizeLimitError,
+    build_poisson,
+    lap_to_dense,
+    read_matrix_market,
+    write_matrix_market,
+)
 from kronlap.mmio import _atomic_write
+
+from oracles import matrix_market_array_by_repr
 
 
 def test_array_identity(tmp_path):
@@ -86,6 +95,106 @@ def test_writer_text(tmp_path):
     assert f.read_text() == (
         "%%MatrixMarket matrix coordinate real general\n2 2 3\n1 1 1.0\n2 1 2.5\n2 2 0.1\n"
     )
+
+
+_PIECE = 1 << 13  # values per piece the writer writes
+# -0.0, subnormals, and 10.0 and -100.0, whose text ends in "0.0", go through
+# repr like any value but +0.0, whose bits are all zero
+_NEAR_ZERO = [-0.0, 5e-324, -1e-310, 2.2250738585072014e-308, 10.0, -100.0, 0.1]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    rows=st.sampled_from([1, 3, 100]),
+    size=st.integers(1, 3 * _PIECE),
+    density=st.sampled_from([0.0, 1e-4, 0.01, 0.5, 1.0]),
+    run=st.tuples(st.integers(0, 3 * _PIECE), st.integers(0, 3 * _PIECE)),
+    seed=st.integers(0, 2**32 - 1),
+)
+# one run of +0.0 from before the first piece boundary to past the second,
+# one ending right at the first boundary, and no zero at all
+@example(rows=1, size=3 * _PIECE, density=0.5, run=(_PIECE - 5, 2 * _PIECE + 5), seed=0)
+@example(rows=100, size=2 * _PIECE, density=0.01, run=(1, _PIECE), seed=1)
+@example(rows=3, size=_PIECE + 1, density=1.0, run=(0, 0), seed=2)
+def test_writer_matches_repr_per_value(tmp_path_factory, rows, size, density, run, seed):
+    rng = np.random.default_rng(seed)
+    cols = -(-size // rows)
+    values = np.where(rng.uniform(size=rows * cols) < 0.5, rng.choice(_NEAR_ZERO, rows * cols),
+                      rng.standard_normal(rows * cols))
+    values[rng.uniform(size=values.size) >= density] = 0.0
+    values[slice(*sorted(run))] = 0.0
+    m = values.reshape(cols, rows).T  # column-major, as the file stores it
+    f = tmp_path_factory.mktemp("mm") / "m.mtx"
+    write_matrix_market(f, m)
+    assert f.read_bytes() == matrix_market_array_by_repr(m).encode()
+
+
+# tokens that read as a zero, or end in "0.0", but are not the writer's "0.0"
+_ZERO_LIKE = ["0", "-0.0", "+0.0", "0.00", "00.0", "0.0e0", ".0", "0.", "1.0", "10.0", "-100.0",
+              "\uff10.\uff10", "\uff11.\uff15"]  # fullwidth digits: 0.0 and 1.5
+# separators that str.split knows and the writer never writes
+_SEPARATORS = [" ", "\t", "\r\n", "\x85", "\xa0", "\u3000", "\n\n", " \n"]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    count=st.sampled_from([1, 7, 20_000, 45_000]),
+    odd_tokens=st.sampled_from([0.0, 1e-3, 0.05, 0.5]),
+    odd_separators=st.sampled_from([0.0, 1e-4, 0.3]),
+    seed=st.integers(0, 2**32 - 1),
+)
+# zero runs across two 64 KiB chunk boundaries, with and without other separators
+@example(count=45_000, odd_tokens=1e-3, odd_separators=0.0, seed=0)
+@example(count=45_000, odd_tokens=0.05, odd_separators=1e-4, seed=1)
+def test_reader_matches_float_per_token(tmp_path_factory, count, odd_tokens, odd_separators, seed):
+    rng = np.random.default_rng(seed)
+    tokens = np.array(["0.0"] * count, dtype=object)
+    odd = rng.uniform(size=count) < odd_tokens
+    tokens[odd] = [rng.choice(_ZERO_LIKE) if rng.uniform() < 0.7 else repr(rng.standard_normal())
+                   for _ in range(odd.sum())]
+    separators = np.array(["\n"] * count, dtype=object)
+    odd = rng.uniform(size=count) < odd_separators
+    separators[odd] = rng.choice(_SEPARATORS, odd.sum())
+    body = "".join(tokens + separators)
+    f = tmp_path_factory.mktemp("mm") / "v.mtx"
+    with open(f, "w", newline="") as fh:  # keep "\r\n" as written
+        fh.write(f"%%MatrixMarket matrix array real general\n{count} 1\n" + body)
+    expected = np.fromiter(map(float, body.split()), float)
+    assert expected.size == count
+    assert read_matrix_market(f).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("kind", ["file", "pipe"])
+@pytest.mark.parametrize(
+    "token, message",
+    [("bogus", "cannot parse value 'bogus'"), ("0.0x", "cannot parse value '0.0x'"),
+     ("1e999", "non-finite value '1e999'")],
+)
+def test_bad_token_after_a_long_zero_run_names_its_line(tmp_path, kind, token, message):
+    # 40,000 "0.0" lines run through two 64 KiB chunks; the bad token follows in the third
+    values = ["0.0"] * 50_000
+    values[40_000] = token
+    f = tmp_path / "big.mtx"
+    f.write_text("%%MatrixMarket matrix array real general\n50000 1\n" + "\n".join(values) + "\n")
+    with _source(kind, f) as path:
+        with pytest.raises(MatrixMarketError, match=f"^line 40003: {message}$"):
+            read_matrix_market(path)
+
+
+def test_poisson_array_memory_stays_near_matrix_size(tmp_path):
+    # a Laplacian-like matrix is almost all +0.0: its runs are written and read
+    # in bulk, and neither direction holds more than its pieces
+    m = lap_to_dense(build_poisson(8).operator)
+    f = tmp_path / "poisson.mtx"
+    for step in (lambda: write_matrix_market(f, m), lambda: read_matrix_market(f)):
+        tracemalloc.start()
+        try:
+            out = step()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * m.nbytes
+    assert out.tobytes() == m.tobytes()
 
 
 # a signed zero, a subnormal and values far apart in magnitude
