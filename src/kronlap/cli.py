@@ -127,7 +127,7 @@ def _cmd_solve(args) -> int:
         options = {k: v for k, v in vars(args).items() if k in _GROU_OPTIONS}
         report = grou(op, b, **options)
         x, terms, stop = report.x, report.terms_used, report.stop_reason
-        history = report.residual_history  # history[0] is ||b|| on both paths
+        history = report.residual_history  # history[0] is ||b||, up to rounding in an eigenbasis
     payload = {
         "dims": list(dims.modes),
         "method": method,

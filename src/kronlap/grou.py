@@ -4,18 +4,21 @@ Each outer iteration fits one Kronecker rank-one correction to the current
 residual and subtracts it; the accumulated corrections approximate the
 solution of A x = b. Operators are applied matrix-free, so the structured
 (Laplacian-like) path never materializes an N x N matrix; its ALS step builds
-each mode's least-squares problem from the factor vectors and applies the
-operator only once per term, to the accepted correction.
+each mode's least-squares problem from the factor vectors.
 
 The structured form has two kinds, picked by ``LinearOperator.from_laplacian``.
-``_EigenbasisOperator`` (every factor exactly symmetric) steps in the factors'
-eigenbasis, where the mode matrix has orthogonal columns and the least-squares
-solution is a ratio of two O(N) contractions. ``_LaplacianOperator`` reduces
-the mode matrix to 2n_k x n_k by a thin QR and solves that by pivoted QR
-(``dgelsy``), as ``_DenseOperator`` solves its N x n_k mode matrix. One rank
-rule holds on every step: a column whose singular value is at most eps * N
-times the largest is cut, ``dgelsy`` judging by its condition estimate and the
-eigenbasis step by the exact singular values; the fit is then rank deficient.
+``_EigenbasisOperator`` (every factor exactly symmetric) is A = V D V^T with
+V = (x)_i V_i orthogonal and D diagonal. :func:`grou` and :func:`als_rank_one`
+change basis once, at their edges, and fit, apply and subtract with D in the
+basis (``_DiagonalOperator``): D o (x)_i y^_i costs O(N), and the mode matrix
+has orthogonal columns, so its least-squares solution is a ratio of two O(N)
+contractions. ``_LaplacianOperator`` reduces the mode matrix to 2n_k x n_k by
+a thin QR and solves that by pivoted QR (``dgelsy``), as ``_DenseOperator``
+solves its N x n_k mode matrix; these apply A once per term, to the accepted
+correction. One rank rule holds on every step: a column whose singular value
+is at most eps * N times the largest is cut, ``dgelsy`` judging by its
+condition estimate and the diagonal step by the exact singular values; the
+fit is then rank deficient.
 """
 
 import math
@@ -83,7 +86,7 @@ class RankOneVector:
             for j in range(1, dims.d):
                 e = -math.frexp(tops[j])[1]
                 g = np.ldexp(factors[j], e)
-                m = np.linalg.norm(g)
+                m = _norm(g)
                 factors[j] = g / m
                 scale *= m
                 shift -= e
@@ -110,12 +113,17 @@ class LinearOperator:
 
     Three kinds, one class each: ``_DenseOperator``, and for the structured
     form ``_EigenbasisOperator`` (symmetric factors) or ``_LaplacianOperator``.
-    Each defines ``apply`` and the mode step of :func:`als_rank_one`, so no
-    caller asks which kind it holds. ``_mode_step(r, factors)`` returns
+    Each defines ``apply``, and no caller asks which kind it holds: :func:`grou`
+    and :func:`als_rank_one` fit on ``_fitted()``, the B of A = V B V^T with V
+    orthogonal, which is the eigenbasis kind's diagonal and any other kind
+    itself (V = I). ``_to_basis``, ``_from_basis`` and ``_factors_from_basis``
+    map x to V^T x, x to V x and factors y^_i to V_i y^_i.
+
+    B defines the mode step: ``_mode_step(r, factors)`` returns
     ``step(k, with_objective)``, which fits factor k with the others fixed
     and returns (y_k, objective or None, rank_deficient); the caller stores
     each y_k in ``factors``, which the QR steps read as it changes and the
-    eigenbasis step once, at the start. The steps fit 2^``_fit_exponent`` * A.
+    diagonal step once, at the start. The steps fit 2^``_fit_exponent`` * B.
     ``laplacian`` is the structured form, None on the dense kind.
     """
 
@@ -136,6 +144,18 @@ class LinearOperator:
     def n(self) -> int:
         return self.dims.n
 
+    def _fitted(self) -> "LinearOperator":
+        return self
+
+    def _to_basis(self, x) -> np.ndarray:
+        return x
+
+    def _from_basis(self, x) -> np.ndarray:
+        return x
+
+    def _factors_from_basis(self, factors):
+        return factors
+
 
 @dataclass(eq=False)
 class GrouReport:
@@ -146,7 +166,9 @@ class GrouReport:
     a column with singular value at most eps * N times the largest is cut,
     as estimated by ``dgelsy`` on the QR steps and exactly on the eigenbasis
     step (see :func:`als_rank_one`). ``als_sweeps`` holds the ALS sweeps of
-    each accepted term, in order.
+    each accepted term, in order. On the eigenbasis kind ``residual_history``
+    holds the norms of the residual in the basis, V^T (b - A x_k); V is
+    orthogonal, so they equal ||b - A x_k|| up to rounding.
     """
 
     x: np.ndarray
@@ -233,7 +255,7 @@ class _DenseOperator(LinearOperator):
             w = w.reshape(dims.left_size(k), 1, dims.right_size(k), 1)
             m = self._a @ (w * np.eye(n_k)[None, :, None, :]).reshape(dims.n, n_k)
             sol, deficient = _lstsq(m, r, dims.n)
-            objective = float(np.linalg.norm(r - m @ sol)) if with_objective else None
+            objective = _norm(r - m @ sol) if with_objective else None
             return sol, objective, deficient
 
         return step
@@ -276,74 +298,137 @@ class _LaplacianOperator(LinearOperator):
         return step
 
 
+def _norm(v) -> float:
+    """||v||_2 of a contiguous 1-D ``v``, bit-equal to np.linalg.norm and cheaper.
+
+    A strided ``v`` would take BLAS's strided dot, which sums in another order.
+    """
+    return math.sqrt(v @ v)
+
+
+def _kron_modes(mats, x, modes) -> np.ndarray:
+    """(x)_i mats[i] applied to ``x``, one mode product per mode."""
+    t = x.reshape(modes)
+    for k, m in enumerate(mats):
+        t = _mode_product(m, t, k)
+    return t.reshape(-1)
+
+
+class _DiagonalOperator(LinearOperator):
+    """The diagonal D of a member with symmetric factors, A = V D V^T, in V's basis.
+
+    It is what :func:`grou` and :func:`als_rank_one` fit on for the eigenbasis
+    kind: ``apply`` is D o x, O(N), and the mode step is closed form (see
+    :meth:`_mode_step`). D is kept scaled by 2^``_fit_exponent`` so that
+    max |D| is in [1/2, 1), with its square: two arrays of length N, C-ordered
+    over the modes. It holds the bases V_i only to rotate the ALS start.
+    """
+
+    def __init__(self, spectrum, dims, bases):
+        self.dims, self._bases = dims, bases
+        self._fit_exponent = -math.frexp(float(np.abs(spectrum).max()))[1]
+        self._spectrum = np.ldexp(spectrum, self._fit_exponent)
+        self._squares = self._spectrum * self._spectrum
+
+    def apply(self, x) -> np.ndarray:
+        out = self._spectrum * _as_vector(x, self.n)
+        return np.ldexp(out, -self._fit_exponent, out=out)
+
+    def _mode_step(self, r, factors):
+        """The mode step of the fit r ~ D o (x)_i y_i, with r and the y_i in the basis.
+
+        Shape D as (L, n_k, R) around mode k, and let u and v be the outer
+        products of the factors before and after k. Mode k's matrix has the
+        column D[l, p, m] u_l v_m over (l, m) in row block p, so its columns
+        are orthogonal, sigma_p^2 = sum_lm D[l, p, m]^2 u_l^2 v_m^2 are its
+        singular values and y_k,p = sum_lm r[l, p, m] D[l, p, m] u_l v_m /
+        sigma_p^2. Each sum is a matrix product with u, then one with v, on
+        reshaped views, so a leading or trailing mode takes one product and a
+        middle mode two, and no unfolding is copied. A column with
+        sigma_p <= eps * N * max sigma is cut (y_k,p = 0, rank deficient), the
+        rank rule ``dgelsy`` applies to its estimates; when min sigma passes,
+        no mask is built. The objective ||r - D o (x)_i y_i|| is taken from
+        the residual itself; after the last mode, (x)_i y_i is the outer
+        product of its u and y_k. The start factors are rotated once,
+        y_i -> V_i^T y_i, so the fit starts where the QR kind's starts in the
+        original basis.
+        """
+        spectrum, squares = self._spectrum, self._squares
+        g = r * spectrum
+        hats = [v.T @ y for v, y in zip(self._bases, factors)]
+        cutoff, last = _EPS * self.dims.n, self.dims.d - 1
+
+        def step(k: int, with_objective: bool):
+            # the products run on C-ordered views: one over the modes before k,
+            # with u, and one over the modes after it, with v
+            numer, squares_k = g, squares
+            if k:
+                u = reduce(np.multiply.outer, hats[:k]).reshape(-1)
+                numer = u @ g.reshape(u.size, -1)
+                squares_k = (u * u) @ squares.reshape(u.size, -1)
+            if k < last:
+                v = reduce(np.multiply.outer, hats[k + 1:]).reshape(-1)
+                numer = numer.reshape(-1, v.size) @ v
+                squares_k = squares_k.reshape(-1, v.size) @ (v * v)
+            # min and max of n_k values cost less as a list than as two reductions;
+            # a NaN, which they may pass over, makes the sum NaN
+            squares_p = squares_k.tolist()
+            if math.isnan(sum(squares_p)):
+                squares_p = [math.nan]
+            top = math.sqrt(max(squares_p))
+            deficient = not math.sqrt(min(squares_p)) > cutoff * top
+            if deficient:  # a cut column, or all of them: y_k,p = 0 there
+                squares_k = np.where(np.sqrt(squares_k) > cutoff * top, squares_k, np.inf)
+            hats[k] = numer / squares_k
+            objective = None
+            if with_objective:
+                fit = np.multiply.outer(u, hats[k]) if k else hats[k].copy()
+                if k < last:
+                    fit = np.multiply.outer(fit, v)
+                fit = fit.reshape(-1)
+                fit *= spectrum
+                objective = _norm(np.subtract(r, fit, out=fit))
+            return hats[k], objective, deficient
+
+        return step
+
+
 class _EigenbasisOperator(LinearOperator):
     """A Laplacian-like form with exactly symmetric factors, fitted in their eigenbasis.
 
     Each factor is diagonalized, A_i = V_i diag(mu_i) V_i^T, so A = V diag(D) V^T
     with V = (x)_i V_i orthogonal and D = alpha + (+)_i mu_i, the fast
-    diagonalization of Lynch, Rice & Thomas (Numer. Math. 6, 1964), and the
-    mode step is closed form in that basis (see :meth:`_mode_step`). D is kept
-    scaled by 2^``_fit_exponent`` so that max |D| is in [1/2, 1). The kind
-    keeps the d bases V_i, D and the d mode-k unfoldings of D^2 (the first
-    one a view), so d + 1 arrays of length N; ``from_laplacian`` returns it
-    when every factor is exactly symmetric.
+    diagonalization of Lynch, Rice & Thomas (Numer. Math. 6, 1964). The kind
+    keeps the d bases V_i and D as a ``_DiagonalOperator`` (two arrays of
+    length N), which ``_fitted`` returns: :func:`grou` and :func:`als_rank_one`
+    fit on it, and map x to V^T x and back by d mode products, once per solve
+    or fit. ``apply`` is A, by mode-wise contractions. ``from_laplacian``
+    returns this kind when every factor is exactly symmetric.
     """
 
     def __init__(self, lap: LaplacianLike):
         self.laplacian, self.dims = lap, lap.dims
-        # divide and conquer: the step's transform is exact only for orthogonal V_i, and
+        # divide and conquer: the basis change is exact only for orthogonal V_i, and
         # the default MRRR driver's V_i drift up to ~300 eps from orthogonal at n = 32
         eigh = _linalg().eigh
         pairs = [eigh(f, driver="evd", check_finite=False) for f in lap.factors]
         self._bases = [v for _, v in pairs]
-        spectrum = reduce(np.add.outer, [mu for mu, _ in pairs], lap.alpha)
-        self._fit_exponent = -math.frexp(float(np.abs(spectrum).max()))[1]
-        self._spectrum = np.ldexp(spectrum, self._fit_exponent).reshape(-1)
-        squares, modes = self._spectrum * self._spectrum, lap.dims.modes
-        self._squares = [_matricize(squares, modes, k) for k in range(len(modes))]
+        spectrum = reduce(np.add.outer, [mu for mu, _ in pairs], lap.alpha).reshape(-1)
+        self._diagonal = _DiagonalOperator(spectrum, lap.dims, self._bases)
 
     apply = _LaplacianOperator.apply
 
-    def _mode_step(self, r, factors):
-        """The mode step in the eigenbasis, where the fit is r^ ~ D o (x)_i y^_i.
+    def _fitted(self) -> _DiagonalOperator:
+        return self._diagonal
 
-        r^ = V^T r is formed once, by d mode products, and the start factors
-        are rotated, y^_i = V_i^T y_i. Mode k's matrix has the column
-        D[p, :] o w^ in row block p, with w^ = (x)_{j != k} y^_j, so the
-        columns are orthogonal, sigma_p^2 = sum_m D[p, m]^2 w^_m^2 are its
-        singular values and y^_k,p = sum_m r^[p, m] D[p, m] w^_m / sigma_p^2.
-        A column with sigma_p <= eps * N * max sigma is cut (y^_k,p = 0, rank
-        deficient), the rank rule ``dgelsy`` applies to its estimates. The
-        objective ||r^ - D o (x)_i y^_i|| is taken from the residual itself.
-        Each step returns V_k y^_k.
-        """
-        modes, bases = self.dims.modes, self._bases
-        t = r.reshape(modes)
-        for k, v in enumerate(bases):
-            t = _mode_product(v.T, t, k)
-        r_hat = t.reshape(-1)
-        g = r_hat * self._spectrum
-        g_modes = [_matricize(g, modes, k) for k in range(len(modes))]
-        hats = [v.T @ y for v, y in zip(bases, factors)]
-        cutoff = _EPS * self.dims.n
+    def _to_basis(self, x) -> np.ndarray:
+        return _kron_modes([v.T for v in self._bases], x, self.dims.modes)
 
-        def step(k: int, with_objective: bool):
-            others = hats[:k] + hats[k + 1:]
-            w = reduce(np.multiply.outer, others).reshape(-1) if others else np.ones(1)
-            squares = self._squares[k] @ (w * w)
-            sigma = np.sqrt(squares)
-            kept = sigma > cutoff * sigma.max()
-            deficient = not kept.all()
-            if deficient:  # a cut column, or all of them: y^_k,p = 0 there
-                squares[~kept] = np.inf
-            hats[k] = (g_modes[k] @ w) / squares
-            objective = None
-            if with_objective:
-                fit = reduce(np.multiply.outer, hats).reshape(-1) * self._spectrum
-                objective = float(np.linalg.norm(r_hat - fit))
-            return bases[k] @ hats[k], objective, deficient
+    def _from_basis(self, x) -> np.ndarray:
+        return _kron_modes(self._bases, x, self.dims.modes)
 
-        return step
+    def _factors_from_basis(self, factors):
+        return [v @ y for v, y in zip(self._bases, factors)]
 
 
 def als_rank_one(
@@ -362,19 +447,22 @@ def als_rank_one(
     zero flagged ``rank_deficient``, the objective stays ||r||, and the next
     sweep's stop test ends the fit with the zero vector.
 
-    Each operator kind supplies its own mode step (see its class): the
-    structured kind never applies A inside the fit. Every step takes the
-    minimum-norm solution with the rank cutoff eps * N, by pivoted QR on the
-    dense kind and on nonsymmetric structured factors, and in closed form in
-    the eigenbasis of symmetric ones; a lower rank flags ``rank_deficient``.
+    The fit runs on ``op._fitted()``, B in A = V B V^T: for the eigenbasis
+    kind its diagonal, for the others A itself. r goes into the basis once and
+    the factors come out once, y_i = V_i y^_i. Each kind of B supplies its own
+    mode step (see its class): the structured kinds never apply A inside the
+    fit. Every step takes the minimum-norm solution with the rank cutoff
+    eps * N, by pivoted QR on the dense kind and on nonsymmetric structured
+    factors, and in closed form on the diagonal of symmetric ones; a lower
+    rank flags ``rank_deficient``.
     The objective is computed from the residual itself, once per pass after
     its last mode step, where the stop reads it; ||r||^2 - ||r_k Q||^2, or
     ||r||^2 minus the squared fit, would cancel below the stopping rule.
-    The fit runs on 2^e * r with max |2^e * r| in [1/2, 1), and the
-    eigenbasis step on 2^``op._fit_exponent`` * A with max |D| in [1/2, 1);
-    factor 0 is scaled back by both powers of two at once, exactly. So
-    2^k * r gets exactly 2^k times the fit of r, and 2^k * A gets 2^-k times
-    it up to rounding, with no overflow or underflow in between.
+    The fit runs on 2^e * r with max |2^e * r| in [1/2, 1), and the diagonal
+    step on 2^``_fit_exponent`` * D with max |2^``_fit_exponent`` * D| in
+    [1/2, 1); factor 0 is scaled back by both powers of two at once, exactly.
+    So 2^k * r gets exactly 2^k times the fit of r, and 2^k * A gets 2^-k
+    times it up to rounding, with no overflow or underflow in between.
     A non-finite residual raises ValueError.
     """
     if iter_max < 1:
@@ -387,22 +475,25 @@ def als_rank_one(
     if top == 0.0:
         return RankOneVector.zeros(dims)
     e = -math.frexp(top)[1]
-    r = np.ldexp(r, e)
+    fitted = op._fitted()
+    r = op._to_basis(np.ldexp(r, e))
     rng = np.random.default_rng(seed)
-    factors = [v / np.linalg.norm(v) for v in (rng.standard_normal(n) for n in dims.modes)]
-    step = op._mode_step(r, factors)  # a QR step reads factors as they are updated below
+    factors = [v / _norm(v) for v in (rng.standard_normal(n) for n in dims.modes)]
+    step = fitted._mode_step(r, factors)  # a QR step reads factors as they are updated below
     rank_deficient = False
     objective = None
+    last = dims.d - 1
     for sweeps in range(1, iter_max + 1):
         previous = objective
-        for k in range(dims.d):
+        for k in range(last + 1):
             # the stop below reads only the sweep's last objective
-            factors[k], objective, deficient = step(k, k == dims.d - 1)
+            factors[k], objective, deficient = step(k, k == last)
             rank_deficient |= deficient
         if previous is not None and previous - objective <= rel_tol * previous:
             break
+    factors = op._factors_from_basis(factors)
     y = RankOneVector(dims, tuple(factors), rank_deficient=rank_deficient, sweeps=sweeps)
-    y.factors = (np.ldexp(y.factors[0], op._fit_exponent - e), *y.factors[1:])
+    y.factors = (np.ldexp(y.factors[0], fitted._fit_exponent - e), *y.factors[1:])
     return y
 
 
@@ -439,6 +530,11 @@ def grou(
     residual norms differ by less than ``tol`` (stagnation too), or after
     ``rank_max`` accepted terms. Non-convergence is reported through
     ``stop_reason``, never raised.
+
+    The terms are fitted, applied and subtracted with ``op._fitted()``: on the
+    eigenbasis kind b goes into the basis once, each term costs O(N) on top of
+    its ALS, with no call of ``op.apply``, and x comes back once, so the
+    residual norms are taken in the basis (see :class:`GrouReport`).
     """
     if not (eps > 0 and tol > 0):  # NaN too
         raise ValueError("eps and tol must be positive")
@@ -450,8 +546,9 @@ def grou(
         raise ValueError("seed must be non-negative")
     b = _as_vector(b, op.n, "right-hand side")
     _require_finite(b, "right-hand side")
+    fitted = op._fitted()
     x = np.zeros_like(b)
-    r = b.copy()
+    r = op._to_basis(b)
     history = [float(np.linalg.norm(r))]
     if history[0] < eps:
         return GrouReport(x, history, 0, RESIDUAL_BELOW_EPS)
@@ -460,17 +557,17 @@ def grou(
     sweeps = []
     for i in range(rank_max):
         y = als_rank_one(
-            op, r, iter_max=als_iter_max, seed=_term_seed(seed, i), rel_tol=_ALS_REL_TOL
+            fitted, r, iter_max=als_iter_max, seed=_term_seed(seed, i), rel_tol=_ALS_REL_TOL
         )
         yv = y.to_vector()
-        r_new = r - op.apply(yv)
-        norm_new = float(np.linalg.norm(r_new))
+        r_new = r - fitted.apply(yv)
+        norm_new = _norm(r_new)
         if not norm_new < history[-1]:
             # a zero fit, one that leaves ||r|| as it was or raises it (the ALS
             # never does worse than y = 0, so a rise is a rounding error), or NaN
             stop = STAGNATION
             break
-        x = x + yv
+        x += yv
         r = r_new
         history.append(norm_new)
         deficient_terms += y.rank_deficient
@@ -481,7 +578,7 @@ def grou(
         if history[-2] - norm_new < tol:
             stop = STAGNATION
             break
-    return GrouReport(x, history, len(sweeps), stop, deficient_terms, sweeps)
+    return GrouReport(op._from_basis(x), history, len(sweeps), stop, deficient_terms, sweeps)
 
 
 def _band_cholesky(a, kd: int):
