@@ -142,22 +142,25 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_gen(args) -> int:
-    rng = np.random.default_rng(args.seed)
     if args.kind == "poisson":
         if args.n is None:
             raise ValueError("--n is required for --kind poisson")
+        size = args.n**3
+    elif args.dims is None:
+        raise ValueError(f"--dims is required for --kind {args.kind}")
+    else:
+        size = (dims := DimSplit(args.dims)).n
+    _check_dense_cap(size)  # every kind writes a size x size matrix; checked before any is built
+    if args.kind == "poisson":
         problem = build_poisson(args.n)
         prefix = str(args.output)
         write_matrix_market(f"{prefix}_A.mtx", lap_to_dense(problem.operator))
         write_matrix_market(f"{prefix}_b.mtx", problem.rhs.reshape(-1, 1))
         write_matrix_market(f"{prefix}_exact.mtx", problem.exact.reshape(-1, 1))
         return EXIT_OK
-    if args.dims is None:
-        raise ValueError(f"--dims is required for --kind {args.kind}")
-    dims = DimSplit(args.dims)
+    rng = np.random.default_rng(args.seed)
     if args.kind == "dense":
-        _check_dense_cap(dims.n)
-        write_matrix_market(args.output, rng.uniform(size=(dims.n, dims.n)))
+        write_matrix_market(args.output, rng.uniform(size=(size, size)))
         return EXIT_OK
     factors = [rng.standard_normal((n, n)) for n in dims.modes]
     lap = LaplacianLike.from_factors(dims, factors, alpha=float(rng.standard_normal()))

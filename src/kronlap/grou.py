@@ -93,11 +93,6 @@ class RankOneVector:
             factors[0] = np.ldexp(factors[0] * scale, shift)
         self.factors = tuple(factors)
 
-    @classmethod
-    def zeros(cls, dims) -> "RankOneVector":
-        dims = _as_dims(dims)
-        return cls(dims, tuple(np.zeros(n) for n in dims.modes))
-
     def to_vector(self) -> np.ndarray:
         return reduce(np.multiply.outer, self.factors).reshape(-1)
 
@@ -119,11 +114,13 @@ class LinearOperator:
     itself (V = I). ``_to_basis``, ``_from_basis`` and ``_factors_from_basis``
     map x to V^T x, x to V x and factors y^_i to V_i y^_i.
 
-    B defines the mode step: ``_mode_step(r, factors)`` returns
-    ``step(k, with_objective)``, which fits factor k with the others fixed
-    and returns (y_k, objective or None, rank_deficient); the caller stores
-    each y_k in ``factors``, which the QR steps read as it changes and the
-    diagonal step once, at the start. The steps fit 2^``_fit_exponent`` * B.
+    B defines the mode step: ``_mode_step(r, factors)`` returns ``step(k)``,
+    which fits factor k with the others fixed and returns (y_k, objective,
+    rank_deficient). The objective ||r - B (x)_i y_i|| is returned after the
+    last mode, k = d - 1, and is None before it. The caller runs k = 0..d-1
+    in order and stores each y_k in ``factors``, which the QR steps read as
+    it changes and the diagonal step once, at the start. The steps fit
+    2^``_fit_exponent`` * B.
     ``laplacian`` is the structured form, None on the dense kind.
     """
 
@@ -249,13 +246,13 @@ class _DenseOperator(LinearOperator):
     def _mode_step(self, r, factors):
         dims = self.dims
 
-        def step(k: int, with_objective: bool):
+        def step(k: int):
             n_k = dims.modes[k]
             w = reduce(np.multiply.outer, factors[:k] + factors[k + 1:], np.ones(()))
             w = w.reshape(dims.left_size(k), 1, dims.right_size(k), 1)
             m = self._a @ (w * np.eye(n_k)[None, :, None, :]).reshape(dims.n, n_k)
             sol, deficient = _lstsq(m, r, dims.n)
-            objective = _norm(r - m @ sol) if with_objective else None
+            objective = _norm(r - m @ sol) if k == dims.d - 1 else None
             return sol, objective, deficient
 
         return step
@@ -289,9 +286,9 @@ class _LaplacianOperator(LinearOperator):
         r_modes = [_matricize(r, modes, k) for k in range(len(modes))]
         images = [f @ y for f, y in zip(lap.factors, factors)]  # A_k y_k, kept current
 
-        def step(k: int, with_objective: bool):
+        def step(k: int):
             w, s = _mode_weights(factors, images, k)
-            out = _structured_step(self._c_modes[k], w, s, r_modes[k], with_objective)
+            out = _structured_step(self._c_modes[k], w, s, r_modes[k], k == len(modes) - 1)
             images[k] = lap.factors[k] @ out[0]
             return out
 
@@ -347,18 +344,19 @@ class _DiagonalOperator(LinearOperator):
         middle mode two, and no unfolding is copied. A column with
         sigma_p <= eps * N * max sigma is cut (y_k,p = 0, rank deficient), the
         rank rule ``dgelsy`` applies to its estimates; when min sigma passes,
-        no mask is built. The objective ||r - D o (x)_i y_i|| is taken from
-        the residual itself; after the last mode, (x)_i y_i is the outer
-        product of its u and y_k. The start factors are rotated once,
-        y_i -> V_i^T y_i, so the fit starts where the QR kind's starts in the
-        original basis.
+        no mask is built. After the last mode the objective
+        ||r - D o (x)_i y_i|| is taken from the residual itself, with
+        (x)_i y_i the outer product of that step's u and y_k. The start
+        factors are rotated once, y_i -> V_i^T y_i, into a list of the step's
+        own, so the fit starts where the QR kind's starts in the original
+        basis and the caller's list is never rotated.
         """
         spectrum, squares = self._spectrum, self._squares
         g = r * spectrum
         hats = [v.T @ y for v, y in zip(self._bases, factors)]
         cutoff, last = _EPS * self.dims.n, self.dims.d - 1
 
-        def step(k: int, with_objective: bool):
+        def step(k: int):
             # the products run on C-ordered views: one over the modes before k,
             # with u, and one over the modes after it, with v
             numer, squares_k = g, squares
@@ -380,15 +378,11 @@ class _DiagonalOperator(LinearOperator):
             if deficient:  # a cut column, or all of them: y_k,p = 0 there
                 squares_k = np.where(np.sqrt(squares_k) > cutoff * top, squares_k, np.inf)
             hats[k] = numer / squares_k
-            objective = None
-            if with_objective:
-                fit = np.multiply.outer(u, hats[k]) if k else hats[k].copy()
-                if k < last:
-                    fit = np.multiply.outer(fit, v)
-                fit = fit.reshape(-1)
-                fit *= spectrum
-                objective = _norm(np.subtract(r, fit, out=fit))
-            return hats[k], objective, deficient
+            if k < last:
+                return hats[k], None, deficient
+            fit = np.multiply.outer(u, hats[k]).reshape(-1) if k else hats[k].copy()
+            fit *= spectrum
+            return hats[k], _norm(np.subtract(r, fit, out=fit)), deficient
 
         return step
 
@@ -445,7 +439,9 @@ def als_rank_one(
     ``_ALS_REL_TOL``. The sweeps run are recorded in the result's ``sweeps``.
     A zero factor ends no sweep early: every later mode step then returns
     zero flagged ``rank_deficient``, the objective stays ||r||, and the next
-    sweep's stop test ends the fit with the zero vector.
+    sweep's stop test ends the fit with the zero vector. A zero r takes the
+    same path: its first step fits zero, and the fit ends after 2 sweeps,
+    flagged ``rank_deficient`` when d > 1.
 
     The fit runs on ``op._fitted()``, B in A = V B V^T: for the eigenbasis
     kind its diagonal, for the others A itself. r goes into the basis once and
@@ -471,10 +467,7 @@ def als_rank_one(
         raise ValueError("rel_tol must be non-negative")
     dims = op.dims
     r = _as_vector(r, dims.n, "residual")
-    top = _require_finite(r, "residual")
-    if top == 0.0:
-        return RankOneVector.zeros(dims)
-    e = -math.frexp(top)[1]
+    e = -math.frexp(_require_finite(r, "residual"))[1]
     fitted = op._fitted()
     r = op._to_basis(np.ldexp(r, e))
     rng = np.random.default_rng(seed)
@@ -482,12 +475,10 @@ def als_rank_one(
     step = fitted._mode_step(r, factors)  # a QR step reads factors as they are updated below
     rank_deficient = False
     objective = None
-    last = dims.d - 1
     for sweeps in range(1, iter_max + 1):
         previous = objective
-        for k in range(last + 1):
-            # the stop below reads only the sweep's last objective
-            factors[k], objective, deficient = step(k, k == last)
+        for k in range(dims.d):  # the last mode's step returns the sweep's objective
+            factors[k], objective, deficient = step(k)
             rank_deficient |= deficient
         if previous is not None and previous - objective <= rel_tol * previous:
             break

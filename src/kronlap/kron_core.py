@@ -22,10 +22,10 @@ from .errors import SingularMatrixError, SizeLimitError
 def _linalg():
     """``scipy.linalg``, imported on first use.
 
-    Only the LAPACK callers (the ALS steps, ``direct_solve``,
-    ``FactorGroupElement`` and ``lap_exp``) need it, so ``import kronlap`` and
-    the projection do not pay its start-up cost. The cached call is cheap
-    enough for the ALS inner loop; a function-local import is not.
+    Only its LAPACK callers (the QR and dense ALS steps, ``direct_solve``,
+    ``_EigenbasisOperator``'s ``eigh``, ``FactorGroupElement``, ``lap_exp``)
+    need it, so ``import kronlap`` and the projection skip its start-up cost.
+    A cached call is cheap enough for the ALS inner loop; a local import is not.
     """
     import scipy.linalg
 

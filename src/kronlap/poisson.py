@@ -76,7 +76,7 @@ def build_poisson(n: int) -> PoissonProblem:
     dims = DimSplit((n, n, n))
     operator = LaplacianLike.from_factors(dims, (stencil, stencil, stencil))
     grid = np.arange(1, n + 1) * h
-    x, y, z = np.meshgrid(grid, grid, grid, indexing="ij")
+    x, y, z = np.meshgrid(grid, grid, grid, indexing="ij", sparse=True)
     rhs = (-forcing(x, y, z)).reshape(-1)
     exact = exact_solution(x, y, z).reshape(-1)
     return PoissonProblem(n, h, operator, rhs, exact)

@@ -21,6 +21,7 @@ import numpy as np
 import scipy.linalg
 
 from kronlap.kron_core import embed, partial_trace
+from kronlap.poisson import exact_solution, forcing
 
 
 def frobenius_inner(a, b) -> float:
@@ -254,6 +255,13 @@ def poisson_by_fast_diagonalization(n, b):
     t = np.einsum("ai,bj,ck,abc->ijk", q, q, q, np.asarray(b, float).reshape(n, n, n))
     t /= lam[:, None, None] + lam[None, :, None] + lam[None, None, :]
     return np.einsum("ai,bj,ck,ijk->abc", q, q, q, t).reshape(-1)
+
+
+def poisson_fields_by_dense_grid(n):
+    """The Poisson right-hand side -f and exact solution on three full n x n x n grids."""
+    grid = np.arange(1, n + 1) * (1.0 / (n + 1))
+    x, y, z = np.meshgrid(grid, grid, grid, indexing="ij")
+    return (-forcing(x, y, z)).reshape(-1), exact_solution(x, y, z).reshape(-1)
 
 
 def matrix_market_array_by_repr(m) -> str:

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -343,6 +344,27 @@ class TestGen:
         assert run("gen", "--kind", kind, "--dims", "2,3", "--output", str(f)) == 2
         assert "size 6 exceeds the configured cap 4" in capsys.readouterr().err
         assert not f.exists()
+
+    @pytest.mark.parametrize(
+        "argv, size",
+        [(["--kind", "poisson", "--n", "100"], 1000000), (["--kind", "laplacian", "--dims", "2000"], 2000)],
+        ids=["poisson", "laplacian"],
+    )
+    def test_dense_cap_checked_before_building(self, argv, size, tmp_path, monkeypatch, capsys):
+        # the poisson grids (8 MB each at n = 100) and the laplacian factor (32 MB
+        # at 2000) would be built before lap_to_dense met the cap
+        monkeypatch.setenv("KRONLAP_DENSE_CAP", "64")
+        out = tmp_path / "g"
+        tracemalloc.start()
+        try:
+            code = run("gen", *argv, "--output", str(out))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert f"size {size} exceeds the configured cap 64" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+        assert peak < 2**20
 
     @pytest.mark.parametrize("value", ["abc", "0", "-3"])
     @pytest.mark.parametrize("command", ["decompose", "gen"])

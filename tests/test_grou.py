@@ -72,8 +72,8 @@ def eigen_mode_step(op, r, factors):
     """
     step = op._fitted()._mode_step(op._to_basis(r), factors)
 
-    def original(k, with_objective):
-        sol, objective, deficient = step(k, with_objective)
+    def original(k):
+        sol, objective, deficient = step(k)
         return op._bases[k] @ sol, objective, deficient
 
     return original
@@ -216,9 +216,14 @@ class TestAlsRankOne:
         sigma = np.linalg.svd(r.reshape(4, 5), compute_uv=False)
         assert achieved == pytest.approx(np.sum(sigma[1:] ** 2), abs=1e-8)
 
-    def test_zero_residual(self):
-        y = als_rank_one(identity_op((2, 3)), np.zeros(6))
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_zero_residual(self, kind):
+        # every step fits zero, the first sweep's objective is 0 and the second's
+        # stop test ends the fit; the zero factor makes the later modes rank deficient
+        y = als_rank_one(of_kind(LaplacianLike.zeros((2, 3), alpha=1.0), kind), np.zeros(6))
         np.testing.assert_array_equal(y.to_vector(), np.zeros(6))
+        assert y.rank_deficient
+        assert y.sweeps == 2
 
     @pytest.mark.parametrize("scale", [1e-170, 1e-160, 1e160])
     def test_residual_far_from_unit_size(self, scale):
@@ -651,10 +656,9 @@ class TestStructuredModeStep:
         op = LinearOperator.from_laplacian(lap)
         factors = [rng.standard_normal(m) for m in modes]
         r = rng.standard_normal(lap.n)
-        sol, objective, deficient = eigen_mode_step(op, r, factors)(k, True)
-        sol_only, none, deficient_only = eigen_mode_step(op, r, factors)(k, False)
-        np.testing.assert_array_equal(sol_only, sol)
-        assert none is None and deficient_only == deficient
+        sol, objective, deficient = eigen_mode_step(op, r, factors)(k)
+        # the objective comes with the last mode's step only
+        assert (objective is None) == (k < len(modes) - 1)
 
         # the step fits 2^e A, e putting max |D| in [1/2, 1)
         sol = np.ldexp(sol, op._fitted()._fit_exponent)
@@ -675,9 +679,11 @@ def assert_kinds_agree(lap, rng):
     (:func:`eigen_mode_step`); the QR kind is built directly. Both get r scaled
     to max |r| in [1/2, 1) and unit start factors, as ``als_rank_one`` gives
     them, and the eigenbasis fit is scaled back by its 2^``_fit_exponent``.
-    The fits agree to 1e-12 relative. With one mode the mode matrix is C itself, so the fit
-    is an exact solve with C: both are backward stable, so they agree to
-    about cond(C) eps, and the objectives are rounding errors.
+    The fits agree to 1e-12 relative, and so do the objectives, which come
+    with the last mode only; before it both are None. With one mode the mode
+    matrix is C itself, so the fit is an exact solve with C: both are backward
+    stable, so they agree to about cond(C) eps, and the objectives are
+    rounding errors.
     """
     eigen, qr = LinearOperator.from_laplacian(lap), grou_module._LaplacianOperator(lap)
     assert type(eigen) is grou_module._EigenbasisOperator
@@ -685,8 +691,8 @@ def assert_kinds_agree(lap, rng):
     r = np.ldexp(r, -np.frexp(np.abs(r).max())[1])
     factors = [v / np.linalg.norm(v) for v in (rng.standard_normal(m) for m in lap.dims.modes)]
     for k in range(lap.dims.d):
-        sol, objective, deficient = eigen_mode_step(eigen, r, factors)(k, True)
-        ref, ref_objective, ref_deficient = qr._mode_step(r, factors)(k, True)
+        sol, objective, deficient = eigen_mode_step(eigen, r, factors)(k)
+        ref, ref_objective, ref_deficient = qr._mode_step(r, factors)(k)
         assert deficient == ref_deficient
         sol = np.ldexp(sol, eigen._fitted()._fit_exponent)
         if lap.dims.d == 1:
@@ -696,11 +702,16 @@ def assert_kinds_agree(lap, rng):
             assert max(objective, ref_objective) <= 1e-12 * np.linalg.norm(r)
         else:
             assert np.linalg.norm(sol - ref) <= 1e-12 * np.linalg.norm(ref)
-            assert abs(objective - ref_objective) <= 1e-12 * ref_objective
+            if k < lap.dims.d - 1:
+                assert objective is None and ref_objective is None
+            else:
+                assert abs(objective - ref_objective) <= 1e-12 * ref_objective
 
 
 def assert_step_matches_lstsq(sol, objective, deficient, c, w, s, r_k):
     """Check a mode step's (y, objective, rank_deficient) against lstsq on w (x) C + s (x) I.
+
+    An ``objective`` of None, from a step before the last mode, is not checked.
 
     Both routes are backward stable: each solves a problem whose matrix is off
     by at most d_m = gamma ||[w s]|| ||[C; I]|| and whose right-hand side by
@@ -729,7 +740,8 @@ def assert_step_matches_lstsq(sol, objective, deficient, c, w, s, r_k):
         bound = 2 * ((d_b + d_m * x_norm) / sigma_r + d_m * ref_objective / sigma_r**2)
         assert np.linalg.norm(sol - ref) <= 2 * bound  # each route within `bound`
     # objective: ||M|| ||sol - ref|| plus the rounding of each residual evaluation
-    assert abs(objective - ref_objective) <= sigma[0] * 2 * bound + 2 * (d_b + d_m * x_norm)
+    if objective is not None:
+        assert abs(objective - ref_objective) <= sigma[0] * 2 * bound + 2 * (d_b + d_m * x_norm)
 
 
 class TestDirectSolve:

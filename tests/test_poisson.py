@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,8 @@ from kronlap import (
     laplacian_distance,
     poisson1d_stencil,
 )
+
+from oracles import poisson_fields_by_dense_grid
 
 
 class TestStencil:
@@ -86,6 +90,24 @@ class TestBuildPoisson:
     def test_validation(self):
         with pytest.raises(ValueError):
             build_poisson(1)
+
+    @pytest.mark.parametrize("n", [2, 5, 16, 33, 64])
+    def test_fields_bit_equal_to_dense_grids(self, n):
+        p = build_poisson(n)
+        rhs, exact = poisson_fields_by_dense_grid(n)
+        assert p.rhs.tobytes() == rhs.tobytes()
+        assert p.exact.tobytes() == exact.tobytes()
+
+    def test_fields_built_without_full_grids(self):
+        # rhs and exact are 2 MB each at n = 64; three full grids would add 6 MB
+        build_poisson(2)  # warm up outside the traced call
+        tracemalloc.start()
+        try:
+            build_poisson(64)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
 
     def test_discrete_solution_converges(self):
         errors = {}
