@@ -2,23 +2,22 @@
 
 Each outer iteration fits one Kronecker rank-one correction to the current
 residual and subtracts it; the accumulated corrections approximate the
-solution of A x = b. Operators are applied matrix-free, so the structured
-(Laplacian-like) path never materializes an N x N matrix; its ALS step builds
-each mode's least-squares problem from the factor vectors.
+solution of A x = b. The structured (Laplacian-like) path never materializes
+an N x N matrix: its ALS step builds each mode's problem from the factors.
 
 The structured form has two kinds, picked by ``LinearOperator.from_laplacian``.
 ``_EigenbasisOperator`` (every factor exactly symmetric) is A = V D V^T with
 V = (x)_i V_i orthogonal and D diagonal. :func:`grou` and :func:`als_rank_one`
-change basis once, at their edges, and fit, apply and subtract with D in the
-basis (``_DiagonalOperator``): D o (x)_i y^_i costs O(N), and the mode matrix
-has orthogonal columns, so its least-squares solution is a ratio of two O(N)
-contractions. ``_LaplacianOperator`` reduces the mode matrix to 2n_k x n_k by
-a thin QR and solves that by pivoted QR (``dgelsy``), as ``_DenseOperator``
-solves its N x n_k mode matrix; these apply A once per term, to the accepted
-correction. One rank rule holds on every step: a column whose singular value
+change basis once, at their edges, and fit with D in the basis
+(``_DiagonalOperator``), whose mode matrix has orthogonal columns, so its
+least-squares solution is a ratio of two O(N) contractions.
+``_LaplacianOperator`` reduces the mode matrix to 2n_k x n_k by a thin QR and
+solves that by pivoted QR (``dgelsy``), as ``_DenseOperator`` solves its
+N x n_k mode matrix. On every kind a sweep's last mode step forms the
+residual, which the ALS stop reads and :func:`grou` keeps: a solve never
+applies A. One rank rule holds on every step: a column whose singular value
 is at most eps * N times the largest is cut, ``dgelsy`` judging by its
-condition estimate and the diagonal step by the exact singular values; the
-fit is then rank deficient.
+condition estimate and the diagonal step by the exact singular values.
 """
 
 import math
@@ -80,7 +79,7 @@ class RankOneVector:
             tops.append(_require_finite(f, "factor"))
         if not all(tops):  # a zero factor
             factors = [np.zeros(dims.modes[0])]
-            factors += [_unit_first(n) for n in dims.modes[1:]]
+            factors += [np.eye(n)[0] for n in dims.modes[1:]]
         else:
             scale, shift = 1.0, 0  # the product of the norms is scale * 2^shift
             for j in range(1, dims.d):
@@ -97,12 +96,6 @@ class RankOneVector:
         return reduce(np.multiply.outer, self.factors).reshape(-1)
 
 
-def _unit_first(n: int) -> np.ndarray:
-    e = np.zeros(n)
-    e[0] = 1.0
-    return e
-
-
 class LinearOperator:
     """Square linear map on R^N, built by :meth:`from_dense` or :meth:`from_laplacian`.
 
@@ -115,12 +108,12 @@ class LinearOperator:
     map x to V^T x, x to V x and factors y^_i to V_i y^_i.
 
     B defines the mode step: ``_mode_step(r, factors)`` returns ``step(k)``,
-    which fits factor k with the others fixed and returns (y_k, objective,
-    rank_deficient). The objective ||r - B (x)_i y_i|| is returned after the
-    last mode, k = d - 1, and is None before it. The caller runs k = 0..d-1
-    in order and stores each y_k in ``factors``, which the QR steps read as
-    it changes and the diagonal step once, at the start. The steps fit
-    2^``_fit_exponent`` * B.
+    which fits factor k with the others fixed and returns (y_k, residual,
+    rank_deficient). The residual r - B (x)_i y_i, a new length-N array in
+    natural order, is returned after the last mode, k = d - 1, and is None
+    before it. The caller runs k = 0..d-1 in order and stores each y_k in
+    ``factors``, which the QR steps read as it changes and the diagonal step
+    once, at the start. The steps fit 2^``_fit_exponent`` * B.
     ``laplacian`` is the structured form, None on the dense kind.
     """
 
@@ -163,9 +156,10 @@ class GrouReport:
     a column with singular value at most eps * N times the largest is cut,
     as estimated by ``dgelsy`` on the QR steps and exactly on the eigenbasis
     step (see :func:`als_rank_one`). ``als_sweeps`` holds the ALS sweeps of
-    each accepted term, in order. On the eigenbasis kind ``residual_history``
-    holds the norms of the residual in the basis, V^T (b - A x_k); V is
-    orthogonal, so they equal ||b - A x_k|| up to rounding.
+    each accepted term, in order. ``residual_history`` holds ||b||, then the
+    norm of each accepted term's residual as its ALS fit formed it; on the
+    eigenbasis kind that is V^T (b - A x_k), and V is orthogonal, so on every
+    kind the norms equal ||b - A x_k|| up to rounding.
     """
 
     x: np.ndarray
@@ -207,7 +201,7 @@ def _lstsq(a, b, n: int):
     return x[:n_k, 0], bool(rank < n_k)
 
 
-def _structured_step(c, w, s, r_k, with_objective: bool):
+def _structured_step(c, w, s, r_k, with_residual: bool):
     """Minimize ||r_k - (C y) w^T - y s^T||_F over y, the structured mode step.
 
     ``r_k`` is the residual with mode k moved first, shape (n_k, N / n_k). The
@@ -215,8 +209,8 @@ def _structured_step(c, w, s, r_k, with_objective: bool):
     has orthonormal columns, so the least-squares problem on
     (R (x) I)[C; I] = [R00 C + R01 I; R11 I] (one block row when N / n_k = 1)
     against r_k Q has the same solutions and singular values. Returns
-    (y, objective, rank_deficient); the objective is None unless
-    ``with_objective``.
+    (y, residual, rank_deficient); the residual r_k - (C y) w^T - y s^T, shaped
+    as ``r_k``, is None unless ``with_residual``.
     """
     n_k = c.shape[0]
     lapack = _linalg().lapack
@@ -227,10 +221,9 @@ def _structured_step(c, w, s, r_k, with_objective: bool):
     r[1:, 0] = 0.0  # the Householder vector, below R's diagonal
     small = (r[:, :1, None] * c + r[:, 1:, None] * np.eye(n_k)).reshape(-1, n_k)
     sol, deficient = _lstsq(small, (r_k @ q).T.reshape(-1), w.size * n_k)
-    if not with_objective:
+    if not with_residual:
         return sol, None, deficient
-    objective = float(np.linalg.norm(r_k - np.column_stack([c @ sol, sol]) @ ws))
-    return sol, objective, deficient
+    return sol, r_k - np.column_stack([c @ sol, sol]) @ ws, deficient
 
 
 class _DenseOperator(LinearOperator):
@@ -252,8 +245,7 @@ class _DenseOperator(LinearOperator):
             w = w.reshape(dims.left_size(k), 1, dims.right_size(k), 1)
             m = self._a @ (w * np.eye(n_k)[None, :, None, :]).reshape(dims.n, n_k)
             sol, deficient = _lstsq(m, r, dims.n)
-            objective = _norm(r - m @ sol) if k == dims.d - 1 else None
-            return sol, objective, deficient
+            return sol, (r - m @ sol if k == dims.d - 1 else None), deficient
 
         return step
 
@@ -282,15 +274,15 @@ class _LaplacianOperator(LinearOperator):
         return lap_matvec(self.laplacian, x)
 
     def _mode_step(self, r, factors):
-        lap, modes = self.laplacian, self.dims.modes
+        lap, modes, last = self.laplacian, self.dims.modes, self.dims.d - 1
         r_modes = [_matricize(r, modes, k) for k in range(len(modes))]
         images = [f @ y for f, y in zip(lap.factors, factors)]  # A_k y_k, kept current
 
-        def step(k: int):
+        def step(k: int):  # the last unfolding puts mode d - 1 first: .T is natural order
             w, s = _mode_weights(factors, images, k)
-            out = _structured_step(self._c_modes[k], w, s, r_modes[k], k == len(modes) - 1)
-            images[k] = lap.factors[k] @ out[0]
-            return out
+            sol, residual, deficient = _structured_step(self._c_modes[k], w, s, r_modes[k], k == last)
+            images[k] = lap.factors[k] @ sol
+            return sol, (residual.T.reshape(-1) if k == last else None), deficient
 
         return step
 
@@ -315,10 +307,10 @@ class _DiagonalOperator(LinearOperator):
     """The diagonal D of a member with symmetric factors, A = V D V^T, in V's basis.
 
     It is what :func:`grou` and :func:`als_rank_one` fit on for the eigenbasis
-    kind: ``apply`` is D o x, O(N), and the mode step is closed form (see
-    :meth:`_mode_step`). D is kept scaled by 2^``_fit_exponent`` so that
-    max |D| is in [1/2, 1), with its square: two arrays of length N, C-ordered
-    over the modes. It holds the bases V_i only to rotate the ALS start.
+    kind, by a closed-form step (see :meth:`_mode_step`). D is kept scaled by
+    2^``_fit_exponent`` so that max |D| is in [1/2, 1), with its square: two
+    arrays of length N, C-ordered over the modes. It holds the bases V_i only
+    to rotate the ALS start.
     """
 
     def __init__(self, spectrum, dims, bases):
@@ -326,10 +318,6 @@ class _DiagonalOperator(LinearOperator):
         self._fit_exponent = -math.frexp(float(np.abs(spectrum).max()))[1]
         self._spectrum = np.ldexp(spectrum, self._fit_exponent)
         self._squares = self._spectrum * self._spectrum
-
-    def apply(self, x) -> np.ndarray:
-        out = self._spectrum * _as_vector(x, self.n)
-        return np.ldexp(out, -self._fit_exponent, out=out)
 
     def _mode_step(self, r, factors):
         """The mode step of the fit r ~ D o (x)_i y_i, with r and the y_i in the basis.
@@ -344,9 +332,8 @@ class _DiagonalOperator(LinearOperator):
         middle mode two, and no unfolding is copied. A column with
         sigma_p <= eps * N * max sigma is cut (y_k,p = 0, rank deficient), the
         rank rule ``dgelsy`` applies to its estimates; when min sigma passes,
-        no mask is built. After the last mode the objective
-        ||r - D o (x)_i y_i|| is taken from the residual itself, with
-        (x)_i y_i the outer product of that step's u and y_k. The start
+        no mask is built. The last mode forms the residual r - D o (x)_i y_i in
+        the buffer of (x)_i y_i, the outer product of its u and y_k. The start
         factors are rotated once, y_i -> V_i^T y_i, into a list of the step's
         own, so the fit starts where the QR kind's starts in the original
         basis and the caller's list is never rotated.
@@ -382,7 +369,7 @@ class _DiagonalOperator(LinearOperator):
                 return hats[k], None, deficient
             fit = np.multiply.outer(u, hats[k]).reshape(-1) if k else hats[k].copy()
             fit *= spectrum
-            return hats[k], _norm(np.subtract(r, fit, out=fit)), deficient
+            return hats[k], np.subtract(r, fit, out=fit), deficient
 
         return step
 
@@ -396,8 +383,7 @@ class _EigenbasisOperator(LinearOperator):
     keeps the d bases V_i and D as a ``_DiagonalOperator`` (two arrays of
     length N), which ``_fitted`` returns: :func:`grou` and :func:`als_rank_one`
     fit on it, and map x to V^T x and back by d mode products, once per solve
-    or fit. ``apply`` is A, by mode-wise contractions. ``from_laplacian``
-    returns this kind when every factor is exactly symmetric.
+    or fit. ``apply`` is A, by mode-wise contractions.
     """
 
     def __init__(self, lap: LaplacianLike):
@@ -425,6 +411,27 @@ class _EigenbasisOperator(LinearOperator):
         return [v @ y for v, y in zip(self._bases, factors)]
 
 
+def _fit(fitted: LinearOperator, r, seed: int, iter_max: int, rel_tol: float):
+    """:func:`als_rank_one`'s fit on ``fitted``: (factors, residual, sweeps, rank_deficient).
+
+    r comes scaled and in ``fitted``'s basis; the residual is the last step's.
+    """
+    rng = np.random.default_rng(seed)
+    factors = [v / _norm(v) for v in (rng.standard_normal(n) for n in fitted.dims.modes)]
+    step = fitted._mode_step(r, factors)  # a QR step reads factors as they are updated below
+    rank_deficient = False
+    objective = None
+    for sweeps in range(1, iter_max + 1):
+        previous = objective
+        for k in range(fitted.dims.d):  # the last mode's step returns the residual
+            factors[k], residual, deficient = step(k)
+            rank_deficient |= deficient
+        objective = _norm(residual)
+        if previous is not None and previous - objective <= rel_tol * previous:
+            break
+    return factors, residual, sweeps, rank_deficient
+
+
 def als_rank_one(
     op: LinearOperator, r, iter_max: int = 15, seed: int = 0, *, rel_tol: float = 0.0
 ) -> RankOneVector:
@@ -432,28 +439,25 @@ def als_rank_one(
 
     Cycles through the modes; each step solves that mode's exact linear
     least-squares problem with the other factors fixed. Stops after
-    ``iter_max`` full passes (sweeps) or when a sweep improves the objective
-    by at most ``rel_tol`` times the previous sweep's objective, a relative
-    change of fit that reads the same at every scale of r. The default 0
-    stops only when a sweep does not improve it; :func:`grou` passes
-    ``_ALS_REL_TOL``. The sweeps run are recorded in the result's ``sweeps``.
-    A zero factor ends no sweep early: every later mode step then returns
-    zero flagged ``rank_deficient``, the objective stays ||r||, and the next
-    sweep's stop test ends the fit with the zero vector. A zero r takes the
-    same path: its first step fits zero, and the fit ends after 2 sweeps,
-    flagged ``rank_deficient`` when d > 1.
+    ``iter_max`` full passes (sweeps), recorded in the result's ``sweeps``, or
+    when a sweep lowers the objective by at most ``rel_tol`` times the previous
+    sweep's, a relative change that reads the same at every scale of r; the
+    default 0 stops only when a sweep does not lower it. A zero factor ends
+    no sweep early: every later mode step then returns zero flagged
+    ``rank_deficient``, the objective stays ||r||, and the next sweep's stop
+    test ends the fit with the zero vector. A zero r takes the same path: its
+    first step fits zero, and the fit ends after 2 sweeps, flagged
+    ``rank_deficient`` when d > 1.
 
-    The fit runs on ``op._fitted()``, B in A = V B V^T: for the eigenbasis
-    kind its diagonal, for the others A itself. r goes into the basis once and
-    the factors come out once, y_i = V_i y^_i. Each kind of B supplies its own
-    mode step (see its class): the structured kinds never apply A inside the
-    fit. Every step takes the minimum-norm solution with the rank cutoff
-    eps * N, by pivoted QR on the dense kind and on nonsymmetric structured
-    factors, and in closed form on the diagonal of symmetric ones; a lower
-    rank flags ``rank_deficient``.
-    The objective is computed from the residual itself, once per pass after
-    its last mode step, where the stop reads it; ||r||^2 - ||r_k Q||^2, or
-    ||r||^2 minus the squared fit, would cancel below the stopping rule.
+    The fit (:func:`_fit`, which :func:`grou` runs for each term) is made on
+    ``op._fitted()``, B in A = V B V^T: for the eigenbasis kind its diagonal,
+    for the others A itself. r goes into the basis once and the factors come
+    out once, y_i = V_i y^_i. Every step takes the minimum-norm solution with
+    the rank cutoff eps * N, by pivoted QR on the dense kind and on
+    nonsymmetric structured factors, and in closed form on the diagonal of
+    symmetric ones; a lower rank flags ``rank_deficient``. The objective is
+    ||r - B (x)_i y_i|| of the residual each sweep's last mode step returns;
+    ||r||^2 - ||r_k Q||^2 or ||r||^2 - ||fit||^2 would cancel below the stop.
     The fit runs on 2^e * r with max |2^e * r| in [1/2, 1), and the diagonal
     step on 2^``_fit_exponent`` * D with max |2^``_fit_exponent`` * D| in
     [1/2, 1); factor 0 is scaled back by both powers of two at once, exactly.
@@ -469,19 +473,9 @@ def als_rank_one(
     r = _as_vector(r, dims.n, "residual")
     e = -math.frexp(_require_finite(r, "residual"))[1]
     fitted = op._fitted()
-    r = op._to_basis(np.ldexp(r, e))
-    rng = np.random.default_rng(seed)
-    factors = [v / _norm(v) for v in (rng.standard_normal(n) for n in dims.modes)]
-    step = fitted._mode_step(r, factors)  # a QR step reads factors as they are updated below
-    rank_deficient = False
-    objective = None
-    for sweeps in range(1, iter_max + 1):
-        previous = objective
-        for k in range(dims.d):  # the last mode's step returns the sweep's objective
-            factors[k], objective, deficient = step(k)
-            rank_deficient |= deficient
-        if previous is not None and previous - objective <= rel_tol * previous:
-            break
+    factors, _, sweeps, rank_deficient = _fit(
+        fitted, op._to_basis(np.ldexp(r, e)), seed, iter_max, rel_tol
+    )
     factors = op._factors_from_basis(factors)
     y = RankOneVector(dims, tuple(factors), rank_deficient=rank_deficient, sweeps=sweeps)
     y.factors = (np.ldexp(y.factors[0], fitted._fit_exponent - e), *y.factors[1:])
@@ -522,10 +516,11 @@ def grou(
     ``rank_max`` accepted terms. Non-convergence is reported through
     ``stop_reason``, never raised.
 
-    The terms are fitted, applied and subtracted with ``op._fitted()``: on the
-    eigenbasis kind b goes into the basis once, each term costs O(N) on top of
-    its ALS, with no call of ``op.apply``, and x comes back once, so the
-    residual norms are taken in the basis (see :class:`GrouReport`).
+    Each term is the fit of :func:`als_rank_one` on ``op._fitted()`` to r
+    scaled to max |r| in [1/2, 1); the residual its last mode step formed,
+    scaled back in place, is the next r, so no term is built as a
+    ``RankOneVector`` or applied. On the eigenbasis kind b goes into the basis
+    once and x comes back once (see :class:`GrouReport`).
     """
     if not (eps > 0 and tol > 0):  # NaN too
         raise ValueError("eps and tol must be positive")
@@ -547,22 +542,22 @@ def grou(
     deficient_terms = 0
     sweeps = []
     for i in range(rank_max):
-        y = als_rank_one(
-            fitted, r, iter_max=als_iter_max, seed=_term_seed(seed, i), rel_tol=_ALS_REL_TOL
+        e = -math.frexp(max(-r.min(), r.max()))[1]
+        factors, r_new, term_sweeps, deficient = _fit(
+            fitted, np.ldexp(r, e), _term_seed(seed, i), als_iter_max, _ALS_REL_TOL
         )
-        yv = y.to_vector()
-        r_new = r - fitted.apply(yv)
-        norm_new = _norm(r_new)
+        norm_new = _norm(np.ldexp(r_new, -e, out=r_new))
         if not norm_new < history[-1]:
             # a zero fit, one that leaves ||r|| as it was or raises it (the ALS
             # never does worse than y = 0, so a rise is a rounding error), or NaN
             stop = STAGNATION
             break
-        x += yv
+        term = reduce(np.multiply.outer, factors).reshape(-1)
+        x += np.ldexp(term, fitted._fit_exponent - e, out=term)
         r = r_new
         history.append(norm_new)
-        deficient_terms += y.rank_deficient
-        sweeps.append(y.sweeps)
+        deficient_terms += deficient
+        sweeps.append(term_sweeps)
         if norm_new < eps:
             stop = RESIDUAL_BELOW_EPS
             break

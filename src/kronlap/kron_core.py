@@ -7,6 +7,7 @@ Mode indices are 0-based throughout.
 """
 
 import math
+import operator
 import os
 import warnings
 from dataclasses import dataclass
@@ -95,7 +96,10 @@ class DimSplit:
     modes: tuple[int, ...]
 
     def __post_init__(self):
-        modes = tuple(int(n) for n in self.modes)
+        try:  # int() would truncate 64 ** (1/3) = 3.9999999999999996 to 3
+            modes = tuple(map(operator.index, self.modes))
+        except TypeError:
+            raise ValueError(f"mode sizes must be integers, got {self.modes}") from None
         object.__setattr__(self, "modes", modes)
         if len(modes) < 1:
             raise ValueError("at least one mode is required")

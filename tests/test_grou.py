@@ -67,16 +67,35 @@ def of_kind(lap, kind):
 def eigen_mode_step(op, r, factors):
     """The eigenbasis kind's mode step read in the original basis, as the QR kind's.
 
-    r goes into the basis and each fitted y^_k comes out as V_k y^_k; the
-    start factors are rotated by the diagonal's step itself.
+    r goes into the basis, each fitted y^_k comes out as V_k y^_k and the
+    last mode's residual as V times it; the start factors are rotated by the
+    diagonal's step itself.
     """
     step = op._fitted()._mode_step(op._to_basis(r), factors)
 
     def original(k):
-        sol, objective, deficient = step(k)
-        return op._bases[k] @ sol, objective, deficient
+        sol, residual, deficient = step(k)
+        if residual is not None:
+            residual = op._from_basis(residual)
+        return op._bases[k] @ sol, residual, deficient
 
     return original
+
+
+def fitted_apply(op, v):
+    """B v for the B = V^T A V that ``op`` fits on, formed through A itself."""
+    return op._to_basis(op.apply(op._from_basis(v)))
+
+
+def faulty_fit(residual_of):
+    """``_fit`` whose fit is kept but whose residual is ``residual_of(r, true residual)``."""
+    plain = grou_module._fit
+
+    def fit(fitted, r, *args):
+        factors, residual, sweeps, deficient = plain(fitted, r, *args)
+        return factors, residual_of(r, residual), sweeps, deficient
+
+    return mock.patch.object(grou_module, "_fit", fit)
 
 
 class TestRankOneVector:
@@ -150,8 +169,8 @@ class TestLinearOperator:
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_instance_apply_is_what_grou_calls(self, kind):
-        # a tracer wraps the instance's apply for one solve, then deletes it; the
-        # eigenbasis kind fits and subtracts with its diagonal and never calls it
+        # a tracer wraps the instance's apply for one solve, then deletes it; grou
+        # takes each term's residual from its fit and calls it on no kind
         problem = build_poisson(3)
         op = of_kind(problem.operator, kind)
         expected = op.apply(problem.rhs)
@@ -165,7 +184,7 @@ class TestLinearOperator:
         op.apply = counted
         report = grou(op, np.random.default_rng(0).standard_normal(27), rank_max=5)
         assert report.terms_used > 0
-        assert len(calls) == (0 if kind == "eigenbasis" else report.terms_used)
+        assert len(calls) == 0
         del op.apply
         assert op.apply.__func__ is type(op).apply
         assert op.apply(problem.rhs).tobytes() == expected.tobytes()
@@ -293,11 +312,12 @@ class TestGrou:
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_term_that_raises_the_residual_is_refused(self, kind):
-        # the fit sees I, the apply it subtracts with -I, so the first term doubles the residual
+        # the fit sees I, its residual is taken as if with -I: r + y, which the
+        # exact first term y = r makes twice the residual
         b = np.kron([1.0, 2.0], [3.0, -1.0, 0.5])
         op = of_kind(LaplacianLike.zeros((2, 3), alpha=1.0), kind)
-        op._fitted().apply = lambda v: -v
-        rep = grou(op, b)
+        with faulty_fit(lambda r, residual: 2 * r - residual):
+            rep = grou(op, b)
         assert rep.stop_reason == STAGNATION
         assert rep.terms_used == 0
         np.testing.assert_array_equal(rep.x, np.zeros(6))
@@ -311,9 +331,15 @@ class TestGrou:
         factors = (np.array([0.0, 1.0]), np.ones(3))
         if kind == "eigenbasis":  # the fit is made in the basis, so the kernel term is too
             factors = tuple(v.T @ f for v, f in zip(op._bases, factors))
-        kernel_term = RankOneVector((2, 3), factors)
+        term = np.kron(*factors)
+
+        def kernel_fit(fitted, r, *args):
+            # the term's residual as the fit forms it, r - 2^e B y, here through A
+            residual = r - np.ldexp(fitted_apply(op, term), fitted._fit_exponent)
+            return [f.copy() for f in factors], residual, 1, False
+
         b = np.ones(6)
-        with mock.patch.object(grou_module, "als_rank_one", return_value=kernel_term):
+        with mock.patch.object(grou_module, "_fit", kernel_fit):
             rep = grou(op, b)
         assert rep.stop_reason == STAGNATION
         assert rep.terms_used == 0
@@ -325,17 +351,64 @@ class TestGrou:
         # a NaN norm is not below the last one, so the solve stops on finite numbers
         b = np.kron([1.0, 2.0], [3.0, -1.0, 0.5])
         op = of_kind(LaplacianLike.zeros((2, 3), alpha=1.0), kind)
-        op._fitted().apply = lambda v: np.full_like(v, np.nan)
-        rep = grou(op, b)
+        with faulty_fit(lambda r, residual: np.full_like(residual, np.nan)):
+            rep = grou(op, b)
         assert rep.stop_reason == STAGNATION
         assert rep.terms_used == 0
         np.testing.assert_array_equal(rep.x, np.zeros(6))
         assert rep.residual_history == [float(np.linalg.norm(b))]
 
-    def test_history_monotone_and_consistent(self):
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_each_term_is_accepted_on_its_last_mode_step_residual(self, kind, monkeypatch):
+        # grou builds no RankOneVector and applies nothing: each term's residual is
+        # the array the fit's last mode step returned, scaled back in place
+        lap = build_poisson(3).operator
+        op = of_kind(lap, kind)
+        fitted_kind = type(op._fitted())
+        plain_step, plain_fit = fitted_kind._mode_step, grou_module._fit
+        last, kept = [], []
+
+        def mode_step(self, r, factors):
+            step = plain_step(self, r, factors)
+
+            def recorded(k):
+                out = step(k)
+                if out[1] is not None:
+                    last.append(out[1])
+                return out
+
+            return recorded
+
+        def fit(*args):
+            out = plain_fit(*args)
+            assert out[1] is last[-1]
+            kept.append(out[1])
+            return out
+
+        def refused(*args, **kwargs):
+            raise AssertionError("grou built a term or applied the operator")
+
+        monkeypatch.setattr(fitted_kind, "_mode_step", mode_step)
+        monkeypatch.setattr(grou_module, "_fit", fit)
+        monkeypatch.setattr(grou_module, "RankOneVector", refused)
+        monkeypatch.setattr(type(op), "apply", refused)
+        b = np.random.default_rng(0).standard_normal(lap.n)
+        rep = grou(op, b, rank_max=5)
+        monkeypatch.undo()
+        assert rep.terms_used > 0
+        accepted = kept[: rep.terms_used]
+        assert [grou_module._norm(v) for v in accepted] == rep.residual_history[1:]
+        true = b - lap_matvec(lap, rep.x)
+        assert np.linalg.norm(op._from_basis(accepted[-1]) - true) <= 1e-12 * np.linalg.norm(b)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_history_monotone_and_consistent(self, kind):
+        # the history comes from the fits' residuals; the true residual must match it
         rng = np.random.default_rng(5)
         lap = random_laplacian_like((3, 4), rng, alpha=8.0)  # well conditioned
-        op = LinearOperator.from_laplacian(lap)
+        if kind == "eigenbasis":
+            lap = LaplacianLike(lap.dims, lap.alpha, tuple(f + f.T for f in lap.factors))
+        op = of_kind(lap, kind)
         b = rng.standard_normal(12)
         rep = grou(op, b, eps=1e-10, tol=1e-14, rank_max=60)
         hist = np.array(rep.residual_history)
@@ -500,21 +573,23 @@ class TestStructuredModeStep:
         lap = build_poisson(n).operator
         op, qr = LinearOperator.from_laplacian(lap), grou_module._LaplacianOperator(lap)
         fits = []
-        plain = grou_module.als_rank_one
+        plain = grou_module._fit
 
-        def recorded(fitted, r, **kwargs):
-            y = plain(fitted, r, **kwargs)
-            fits.append((r, kwargs, y))
-            return y
+        def recorded(fitted, r, seed, iter_max, rel_tol):
+            out = plain(fitted, r, seed, iter_max, rel_tol)
+            fits.append((r, dict(seed=seed, iter_max=iter_max, rel_tol=rel_tol), out))
+            return out
 
-        monkeypatch.setattr(grou_module, "als_rank_one", recorded)
+        monkeypatch.setattr(grou_module, "_fit", recorded)
         rep = grou(op, np.random.default_rng(2).standard_normal(n**3))
         monkeypatch.undo()
         assert len(fits) >= rep.terms_used > 100
-        for r_hat, kwargs, y in fits:
+        for r_hat, kwargs, (factors, _, sweeps, _) in fits:
             ref = als_rank_one(qr, op._from_basis(r_hat), **kwargs)
-            assert y.sweeps == ref.sweeps
-            got = op._from_basis(y.to_vector())
+            assert sweeps == ref.sweeps
+            # the fit is of 2^fe D, so the term is 2^fe times the outer product
+            term = np.ldexp(rank_one_by_kron(factors), op._fitted()._fit_exponent)
+            got = op._from_basis(term)
             expected = ref.to_vector()
             assert np.linalg.norm(got - expected) <= 1e-13 * np.linalg.norm(expected)
 
@@ -614,13 +689,14 @@ class TestStructuredModeStep:
         ]
         w, s = grou_module._mode_weights(factors, images, k)
         r_k = rng.standard_normal((n_k, n // n_k))
-        sol, objective, deficient = grou_module._structured_step(c, w, s, r_k, True)
-        # the objective is optional work: leaving it out changes nothing else
+        sol, residual, deficient = grou_module._structured_step(c, w, s, r_k, True)
+        assert residual.shape == r_k.shape
+        # the residual is optional work: leaving it out changes nothing else
         sol_only, none, deficient_only = grou_module._structured_step(c, w, s, r_k, False)
         np.testing.assert_array_equal(sol_only, sol)
         assert none is None and deficient_only == deficient
 
-        assert_step_matches_lstsq(sol, objective, deficient, c, w, s, r_k)
+        assert_step_matches_lstsq(sol, np.linalg.norm(residual), deficient, c, w, s, r_k)
         if singular and not (with_s and len(modes) > 1):
             assert deficient
 
@@ -656,9 +732,10 @@ class TestStructuredModeStep:
         op = LinearOperator.from_laplacian(lap)
         factors = [rng.standard_normal(m) for m in modes]
         r = rng.standard_normal(lap.n)
-        sol, objective, deficient = eigen_mode_step(op, r, factors)(k)
-        # the objective comes with the last mode's step only
-        assert (objective is None) == (k < len(modes) - 1)
+        sol, residual, deficient = eigen_mode_step(op, r, factors)(k)
+        # the residual comes with the last mode's step only
+        assert (residual is None) == (k < len(modes) - 1)
+        objective = None if residual is None else np.linalg.norm(residual)
 
         # the step fits 2^e A, e putting max |D| in [1/2, 1)
         sol = np.ldexp(sol, op._fitted()._fit_exponent)
@@ -679,11 +756,11 @@ def assert_kinds_agree(lap, rng):
     (:func:`eigen_mode_step`); the QR kind is built directly. Both get r scaled
     to max |r| in [1/2, 1) and unit start factors, as ``als_rank_one`` gives
     them, and the eigenbasis fit is scaled back by its 2^``_fit_exponent``.
-    The fits agree to 1e-12 relative, and so do the objectives, which come
-    with the last mode only; before it both are None. With one mode the mode
-    matrix is C itself, so the fit is an exact solve with C: both are backward
-    stable, so they agree to about cond(C) eps, and the objectives are
-    rounding errors.
+    The fits agree to 1e-12 relative, and so do the objectives, the norms of
+    the residuals that come with the last mode only; before it both are None.
+    With one mode the mode matrix is C itself, so the fit is an exact solve
+    with C: both are backward stable, so they agree to about cond(C) eps, and
+    the objectives are rounding errors.
     """
     eigen, qr = LinearOperator.from_laplacian(lap), grou_module._LaplacianOperator(lap)
     assert type(eigen) is grou_module._EigenbasisOperator
@@ -691,9 +768,12 @@ def assert_kinds_agree(lap, rng):
     r = np.ldexp(r, -np.frexp(np.abs(r).max())[1])
     factors = [v / np.linalg.norm(v) for v in (rng.standard_normal(m) for m in lap.dims.modes)]
     for k in range(lap.dims.d):
-        sol, objective, deficient = eigen_mode_step(eigen, r, factors)(k)
-        ref, ref_objective, ref_deficient = qr._mode_step(r, factors)(k)
+        sol, residual, deficient = eigen_mode_step(eigen, r, factors)(k)
+        ref, ref_residual, ref_deficient = qr._mode_step(r, factors)(k)
         assert deficient == ref_deficient
+        objective, ref_objective = (
+            None if v is None else np.linalg.norm(v) for v in (residual, ref_residual)
+        )
         sol = np.ldexp(sol, eigen._fitted()._fit_exponent)
         if lap.dims.d == 1:
             size = np.abs(eigen._fitted()._spectrum)  # the eigenvalues of C, scaled

@@ -1,4 +1,5 @@
 import os
+import re
 import tracemalloc
 from unittest import mock
 
@@ -17,6 +18,7 @@ from kronlap import (
     lap_matvec,
     lap_to_dense,
     lie_bracket,
+    project_laplacian,
 )
 from kronlap import kron_core
 from kronlap.kron_core import _require_finite, embed, partial_trace
@@ -47,6 +49,26 @@ class TestDimSplit:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             DimSplit((0,))
+
+    @pytest.mark.parametrize("bad", [64 ** (1 / 3), 4.0, np.float64(4.0), "4", None])
+    def test_rejects_non_integral_mode_sizes(self, bad):
+        # int() truncated 64 ** (1/3) = 3.9999999999999996 to 3
+        message = re.escape(f"mode sizes must be integers, got {(2, bad)}")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            DimSplit((2, bad))
+
+    def test_integer_types_pass(self):
+        d = DimSplit((np.int64(2), np.int32(3), 4))
+        assert d.modes == (2, 3, 4)
+        assert all(type(n) is int for n in d.modes)
+
+    def test_non_integral_sizes_rejected_where_dims_are_taken(self):
+        dims = (64 ** (1 / 3),) * 3
+        message = re.escape(f"mode sizes must be integers, got {dims}")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            LaplacianLike.zeros(dims)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            project_laplacian(np.eye(64), dims)
 
 
 class TestEmbed:
