@@ -12,7 +12,7 @@ import sys
 import numpy as np
 
 from .errors import MatrixMarketError, SingularMatrixError
-from .grou import LinearOperator, direct_solve, grou
+from .grou import RANK_MAX_REACHED, LinearOperator, direct_solve, grou
 from .kron_core import DimSplit, LaplacianLike, _as_square_matrix, _check_dense_cap, lap_to_dense
 from .lap_project import laplacian_distance
 # unused here, but perfbench/tracing.py patches these names
@@ -138,6 +138,9 @@ def _cmd_solve(args) -> int:
     }
     write_matrix_market(args.output, x.reshape(-1, 1))
     atomic_write_text(str(args.output) + ".json", json.dumps(payload, indent=2) + "\n")
+    if stop == RANK_MAX_REACHED:  # not an error: the solution and its report are written
+        print(f"warning: GROU stopped on {stop} after {terms} terms at relative residual "
+              f"{payload['relative_residual']:.3g}", file=sys.stderr)
     return EXIT_OK
 
 

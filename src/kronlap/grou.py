@@ -8,16 +8,16 @@ an N x N matrix: its ALS step builds each mode's problem from the factors.
 The structured form has two kinds, picked by ``LinearOperator.from_laplacian``.
 ``_EigenbasisOperator`` (every factor exactly symmetric) is A = V D V^T with
 V = (x)_i V_i orthogonal and D diagonal. :func:`grou` and :func:`als_rank_one`
-change basis once, at their edges, and fit with D in the basis
-(``_DiagonalOperator``), whose mode matrix has orthogonal columns, so its
-least-squares solution is a ratio of two O(N) contractions.
+change basis once, at their edges, and the kind fits with D in the basis,
+whose mode matrix has orthogonal columns, so its least-squares solution is a
+ratio of two O(N) contractions.
 ``_LaplacianOperator`` reduces the mode matrix to 2n_k x n_k by a thin QR and
 solves that by pivoted QR (``dgelsy``), as ``_DenseOperator`` solves its
 N x n_k mode matrix. On every kind a sweep's last mode step forms the
 residual, which the ALS stop reads and :func:`grou` keeps: a solve never
 applies A. One rank rule holds on every step: a column whose singular value
 is at most eps * N times the largest is cut, ``dgelsy`` judging by its
-condition estimate and the diagonal step by the exact singular values.
+condition estimate and the eigenbasis step by the exact singular values.
 """
 
 import math
@@ -102,18 +102,19 @@ class LinearOperator:
     Three kinds, one class each: ``_DenseOperator``, and for the structured
     form ``_EigenbasisOperator`` (symmetric factors) or ``_LaplacianOperator``.
     Each defines ``apply``, and no caller asks which kind it holds: :func:`grou`
-    and :func:`als_rank_one` fit on ``_fitted()``, the B of A = V B V^T with V
-    orthogonal, which is the eigenbasis kind's diagonal and any other kind
-    itself (V = I). ``_to_basis``, ``_from_basis`` and ``_factors_from_basis``
-    map x to V^T x, x to V x and factors y^_i to V_i y^_i.
+    and :func:`als_rank_one` fit on the operator they are given, and each kind
+    fits the B of A = V B V^T with V orthogonal: the eigenbasis kind its
+    diagonal, any other kind A itself (V = I). ``_to_basis``, ``_from_basis``
+    and ``_factors_from_basis`` map x to V^T x, x to V x and factors y^_i to
+    V_i y^_i.
 
-    B defines the mode step: ``_mode_step(r, factors)`` returns ``step(k)``,
-    which fits factor k with the others fixed and returns (y_k, residual,
-    rank_deficient). The residual r - B (x)_i y_i, a new length-N array in
-    natural order, is returned after the last mode, k = d - 1, and is None
-    before it. The caller runs k = 0..d-1 in order and stores each y_k in
-    ``factors``, which the QR steps read as it changes and the diagonal step
-    once, at the start. The steps fit 2^``_fit_exponent`` * B.
+    ``_mode_step(r, factors)`` returns ``step(k)``, which fits factor k of B
+    with the others fixed and returns (y_k, residual, rank_deficient). The
+    residual r - B (x)_i y_i, a new length-N array in natural order, is
+    returned after the last mode, k = d - 1, and is None before it. The
+    caller runs k = 0..d-1 in order and stores each y_k in ``factors``, which
+    the QR steps read as it changes and the eigenbasis step once, at the
+    start. The steps fit 2^``_fit_exponent`` * B.
     ``laplacian`` is the structured form, None on the dense kind.
     """
 
@@ -133,9 +134,6 @@ class LinearOperator:
     @property
     def n(self) -> int:
         return self.dims.n
-
-    def _fitted(self) -> "LinearOperator":
-        return self
 
     def _to_basis(self, x) -> np.ndarray:
         return x
@@ -303,21 +301,33 @@ def _kron_modes(mats, x, modes) -> np.ndarray:
     return t.reshape(-1)
 
 
-class _DiagonalOperator(LinearOperator):
-    """The diagonal D of a member with symmetric factors, A = V D V^T, in V's basis.
+class _EigenbasisOperator(LinearOperator):
+    """A Laplacian-like form with exactly symmetric factors, fitted in their eigenbasis.
 
-    It is what :func:`grou` and :func:`als_rank_one` fit on for the eigenbasis
-    kind, by a closed-form step (see :meth:`_mode_step`). D is kept scaled by
-    2^``_fit_exponent`` so that max |D| is in [1/2, 1), with its square: two
-    arrays of length N, C-ordered over the modes. It holds the bases V_i only
-    to rotate the ALS start.
+    Each factor is diagonalized, A_i = V_i diag(mu_i) V_i^T, so A = V diag(D) V^T
+    with V = (x)_i V_i orthogonal and D = alpha + (+)_i mu_i, the fast
+    diagonalization of Lynch, Rice & Thomas (Numer. Math. 6, 1964). The kind
+    keeps the d bases V_i, D scaled by 2^``_fit_exponent`` so that max |D| is
+    in [1/2, 1), and its square: two arrays of length N, C-ordered over the
+    modes. Its B is diag(D): it fits in the basis by a closed-form step (see
+    :meth:`_mode_step`), and :func:`grou` and :func:`als_rank_one` map x to
+    V^T x and back by d mode products, once per solve or fit. ``apply`` is A,
+    by mode-wise contractions.
     """
 
-    def __init__(self, spectrum, dims, bases):
-        self.dims, self._bases = dims, bases
+    def __init__(self, lap: LaplacianLike):
+        self.laplacian, self.dims = lap, lap.dims
+        # divide and conquer: the basis change is exact only for orthogonal V_i, and
+        # the default MRRR driver's V_i drift up to ~300 eps from orthogonal at n = 32
+        eigh = _linalg().eigh
+        pairs = [eigh(f, driver="evd", check_finite=False) for f in lap.factors]
+        self._bases = [v for _, v in pairs]
+        spectrum = reduce(np.add.outer, [mu for mu, _ in pairs], lap.alpha).reshape(-1)
         self._fit_exponent = -math.frexp(float(np.abs(spectrum).max()))[1]
         self._spectrum = np.ldexp(spectrum, self._fit_exponent)
         self._squares = self._spectrum * self._spectrum
+
+    apply = _LaplacianOperator.apply
 
     def _mode_step(self, r, factors):
         """The mode step of the fit r ~ D o (x)_i y_i, with r and the y_i in the basis.
@@ -373,34 +383,6 @@ class _DiagonalOperator(LinearOperator):
 
         return step
 
-
-class _EigenbasisOperator(LinearOperator):
-    """A Laplacian-like form with exactly symmetric factors, fitted in their eigenbasis.
-
-    Each factor is diagonalized, A_i = V_i diag(mu_i) V_i^T, so A = V diag(D) V^T
-    with V = (x)_i V_i orthogonal and D = alpha + (+)_i mu_i, the fast
-    diagonalization of Lynch, Rice & Thomas (Numer. Math. 6, 1964). The kind
-    keeps the d bases V_i and D as a ``_DiagonalOperator`` (two arrays of
-    length N), which ``_fitted`` returns: :func:`grou` and :func:`als_rank_one`
-    fit on it, and map x to V^T x and back by d mode products, once per solve
-    or fit. ``apply`` is A, by mode-wise contractions.
-    """
-
-    def __init__(self, lap: LaplacianLike):
-        self.laplacian, self.dims = lap, lap.dims
-        # divide and conquer: the basis change is exact only for orthogonal V_i, and
-        # the default MRRR driver's V_i drift up to ~300 eps from orthogonal at n = 32
-        eigh = _linalg().eigh
-        pairs = [eigh(f, driver="evd", check_finite=False) for f in lap.factors]
-        self._bases = [v for _, v in pairs]
-        spectrum = reduce(np.add.outer, [mu for mu, _ in pairs], lap.alpha).reshape(-1)
-        self._diagonal = _DiagonalOperator(spectrum, lap.dims, self._bases)
-
-    apply = _LaplacianOperator.apply
-
-    def _fitted(self) -> _DiagonalOperator:
-        return self._diagonal
-
     def _to_basis(self, x) -> np.ndarray:
         return _kron_modes([v.T for v in self._bases], x, self.dims.modes)
 
@@ -411,19 +393,19 @@ class _EigenbasisOperator(LinearOperator):
         return [v @ y for v, y in zip(self._bases, factors)]
 
 
-def _fit(fitted: LinearOperator, r, seed: int, iter_max: int, rel_tol: float):
-    """:func:`als_rank_one`'s fit on ``fitted``: (factors, residual, sweeps, rank_deficient).
+def _fit(op: LinearOperator, r, seed: int, iter_max: int, rel_tol: float):
+    """:func:`als_rank_one`'s fit of ``op``'s B: (factors, residual, sweeps, rank_deficient).
 
-    r comes scaled and in ``fitted``'s basis; the residual is the last step's.
+    r comes scaled and in ``op``'s basis; the residual is the last step's.
     """
     rng = np.random.default_rng(seed)
-    factors = [v / _norm(v) for v in (rng.standard_normal(n) for n in fitted.dims.modes)]
-    step = fitted._mode_step(r, factors)  # a QR step reads factors as they are updated below
+    factors = [v / _norm(v) for v in (rng.standard_normal(n) for n in op.dims.modes)]
+    step = op._mode_step(r, factors)  # a QR step reads factors as they are updated below
     rank_deficient = False
     objective = None
     for sweeps in range(1, iter_max + 1):
         previous = objective
-        for k in range(fitted.dims.d):  # the last mode's step returns the residual
+        for k in range(op.dims.d):  # the last mode's step returns the residual
             factors[k], residual, deficient = step(k)
             rank_deficient |= deficient
         objective = _norm(residual)
@@ -449,16 +431,16 @@ def als_rank_one(
     first step fits zero, and the fit ends after 2 sweeps, flagged
     ``rank_deficient`` when d > 1.
 
-    The fit (:func:`_fit`, which :func:`grou` runs for each term) is made on
-    ``op._fitted()``, B in A = V B V^T: for the eigenbasis kind its diagonal,
-    for the others A itself. r goes into the basis once and the factors come
-    out once, y_i = V_i y^_i. Every step takes the minimum-norm solution with
-    the rank cutoff eps * N, by pivoted QR on the dense kind and on
-    nonsymmetric structured factors, and in closed form on the diagonal of
+    The fit (:func:`_fit`, which :func:`grou` runs for each term) is of B in
+    A = V B V^T, by ``op``'s own mode step: for the eigenbasis kind its
+    diagonal, for the others A itself. r goes into the basis once and the
+    factors come out once, y_i = V_i y^_i. Every step takes the minimum-norm
+    solution with the rank cutoff eps * N, by pivoted QR on the dense kind and
+    on nonsymmetric structured factors, and in closed form on the diagonal of
     symmetric ones; a lower rank flags ``rank_deficient``. The objective is
     ||r - B (x)_i y_i|| of the residual each sweep's last mode step returns;
     ||r||^2 - ||r_k Q||^2 or ||r||^2 - ||fit||^2 would cancel below the stop.
-    The fit runs on 2^e * r with max |2^e * r| in [1/2, 1), and the diagonal
+    The fit runs on 2^e * r with max |2^e * r| in [1/2, 1), and the eigenbasis
     step on 2^``_fit_exponent`` * D with max |2^``_fit_exponent`` * D| in
     [1/2, 1); factor 0 is scaled back by both powers of two at once, exactly.
     So 2^k * r gets exactly 2^k times the fit of r, and 2^k * A gets 2^-k
@@ -472,13 +454,12 @@ def als_rank_one(
     dims = op.dims
     r = _as_vector(r, dims.n, "residual")
     e = -math.frexp(_require_finite(r, "residual"))[1]
-    fitted = op._fitted()
     factors, _, sweeps, rank_deficient = _fit(
-        fitted, op._to_basis(np.ldexp(r, e)), seed, iter_max, rel_tol
+        op, op._to_basis(np.ldexp(r, e)), seed, iter_max, rel_tol
     )
     factors = op._factors_from_basis(factors)
     y = RankOneVector(dims, tuple(factors), rank_deficient=rank_deficient, sweeps=sweeps)
-    y.factors = (np.ldexp(y.factors[0], fitted._fit_exponent - e), *y.factors[1:])
+    y.factors = (np.ldexp(y.factors[0], op._fit_exponent - e), *y.factors[1:])
     return y
 
 
@@ -516,7 +497,7 @@ def grou(
     ``rank_max`` accepted terms. Non-convergence is reported through
     ``stop_reason``, never raised.
 
-    Each term is the fit of :func:`als_rank_one` on ``op._fitted()`` to r
+    Each term is the fit of :func:`als_rank_one`, by ``op``'s mode step, to r
     scaled to max |r| in [1/2, 1); the residual its last mode step formed,
     scaled back in place, is the next r, so no term is built as a
     ``RankOneVector`` or applied. On the eigenbasis kind b goes into the basis
@@ -532,7 +513,6 @@ def grou(
         raise ValueError("seed must be non-negative")
     b = _as_vector(b, op.n, "right-hand side")
     _require_finite(b, "right-hand side")
-    fitted = op._fitted()
     x = np.zeros_like(b)
     r = op._to_basis(b)
     history = [float(np.linalg.norm(r))]
@@ -544,7 +524,7 @@ def grou(
     for i in range(rank_max):
         e = -math.frexp(max(-r.min(), r.max()))[1]
         factors, r_new, term_sweeps, deficient = _fit(
-            fitted, np.ldexp(r, e), _term_seed(seed, i), als_iter_max, _ALS_REL_TOL
+            op, np.ldexp(r, e), _term_seed(seed, i), als_iter_max, _ALS_REL_TOL
         )
         norm_new = _norm(np.ldexp(r_new, -e, out=r_new))
         if not norm_new < history[-1]:
@@ -553,7 +533,7 @@ def grou(
             stop = STAGNATION
             break
         term = reduce(np.multiply.outer, factors).reshape(-1)
-        x += np.ldexp(term, fitted._fit_exponent - e, out=term)
+        x += np.ldexp(term, op._fit_exponent - e, out=term)
         r = r_new
         history.append(norm_new)
         deficient_terms += deficient

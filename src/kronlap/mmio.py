@@ -268,8 +268,13 @@ def write_matrix_market(path, matrix, fmt: str = "array"):
     piece = 1 << 13  # values per written piece, so no text of the whole matrix is built
     if fmt == "array":
         head = f"{_BANNER} matrix array real general\n{rows} {cols}\n"
-        values = m.T.flat  # column-major
-        body = (_array_lines(values[k : k + piece]) for k in range(0, m.size, piece))
+        # column-major: whole columns per piece when one fits, else a column in pieces
+        step, split = max(1, piece // max(rows, 1)), max(1, min(rows, piece))
+        body = (
+            _array_lines(np.ravel(m[r : r + split, c : c + step], order="F"))
+            for c in range(0, cols, step)
+            for r in range(0, rows, split)
+        )
     else:
         head = f"{_BANNER} matrix coordinate real general\n{rows} {cols} {np.count_nonzero(m)}\n"
         step = max(1, piece // max(cols, 1))  # rows per piece

@@ -180,7 +180,7 @@ class TestSolve:
         assert sidecar["terms_used"] == 1
         assert sidecar["stop_reason"] == "residual_below_eps"
 
-    def test_poisson_files_match_direct(self, tmp_path):
+    def test_poisson_files_match_direct(self, tmp_path, capsys):
         prefix = tmp_path / "p"
         assert run("gen", "--kind", "poisson", "--n", "4", "--output", str(prefix)) == 0
         x = tmp_path / "x.mtx"
@@ -199,6 +199,25 @@ class TestSolve:
         assert rel <= 1e-4
         sidecar = json.loads((tmp_path / "x.mtx.json").read_text())
         assert sidecar["method"] == "grou_laplacian"
+        assert capsys.readouterr().err == ""  # a converged solve warns of nothing
+
+    def test_rank_max_reached_warns_on_stderr(self, tmp_path, capsys):
+        # GROU stalls on this member (Gaussian factors and alpha, not definite): the
+        # solution is still written with exit 0, and stderr says it did not converge
+        lap, bm, x = tmp_path / "l.mtx", tmp_path / "b.mtx", tmp_path / "x.mtx"
+        assert run("gen", "--kind", "laplacian", "--dims", "5,5,5", "--seed", "3",
+                   "--output", str(lap)) == 0
+        write_matrix_market(bm, np.random.default_rng(1).standard_normal((125, 1)))
+        code = run("solve", "--matrix", str(lap), "--rhs", str(bm), "--dims", "5,5,5",
+                   "--rank-max", "50", "--output", str(x))
+        assert code == 0
+        assert read_matrix_market(x).shape == (125, 1)
+        sidecar = json.loads((tmp_path / "x.mtx.json").read_text())
+        assert (sidecar["stop_reason"], sidecar["terms_used"]) == ("rank_max_reached", 50)
+        assert capsys.readouterr().err == (
+            "warning: GROU stopped on rank_max_reached after 50 terms at relative residual "
+            f"{sidecar['relative_residual']:.3g}\n"
+        )
 
     def test_direct_method_on_poisson_files(self, tmp_path):
         prefix = tmp_path / "p"

@@ -69,9 +69,9 @@ def eigen_mode_step(op, r, factors):
 
     r goes into the basis, each fitted y^_k comes out as V_k y^_k and the
     last mode's residual as V times it; the start factors are rotated by the
-    diagonal's step itself.
+    step itself.
     """
-    step = op._fitted()._mode_step(op._to_basis(r), factors)
+    step = op._mode_step(op._to_basis(r), factors)
 
     def original(k):
         sol, residual, deficient = step(k)
@@ -91,8 +91,8 @@ def faulty_fit(residual_of):
     """``_fit`` whose fit is kept but whose residual is ``residual_of(r, true residual)``."""
     plain = grou_module._fit
 
-    def fit(fitted, r, *args):
-        factors, residual, sweeps, deficient = plain(fitted, r, *args)
+    def fit(op, r, *args):
+        factors, residual, sweeps, deficient = plain(op, r, *args)
         return factors, residual_of(r, residual), sweeps, deficient
 
     return mock.patch.object(grou_module, "_fit", fit)
@@ -333,9 +333,9 @@ class TestGrou:
             factors = tuple(v.T @ f for v, f in zip(op._bases, factors))
         term = np.kron(*factors)
 
-        def kernel_fit(fitted, r, *args):
+        def kernel_fit(_, r, *args):
             # the term's residual as the fit forms it, r - 2^e B y, here through A
-            residual = r - np.ldexp(fitted_apply(op, term), fitted._fit_exponent)
+            residual = r - np.ldexp(fitted_apply(op, term), op._fit_exponent)
             return [f.copy() for f in factors], residual, 1, False
 
         b = np.ones(6)
@@ -364,8 +364,7 @@ class TestGrou:
         # the array the fit's last mode step returned, scaled back in place
         lap = build_poisson(3).operator
         op = of_kind(lap, kind)
-        fitted_kind = type(op._fitted())
-        plain_step, plain_fit = fitted_kind._mode_step, grou_module._fit
+        plain_step, plain_fit = type(op)._mode_step, grou_module._fit
         last, kept = [], []
 
         def mode_step(self, r, factors):
@@ -388,7 +387,7 @@ class TestGrou:
         def refused(*args, **kwargs):
             raise AssertionError("grou built a term or applied the operator")
 
-        monkeypatch.setattr(fitted_kind, "_mode_step", mode_step)
+        monkeypatch.setattr(type(op), "_mode_step", mode_step)
         monkeypatch.setattr(grou_module, "_fit", fit)
         monkeypatch.setattr(grou_module, "RankOneVector", refused)
         monkeypatch.setattr(type(op), "apply", refused)
@@ -575,8 +574,8 @@ class TestStructuredModeStep:
         fits = []
         plain = grou_module._fit
 
-        def recorded(fitted, r, seed, iter_max, rel_tol):
-            out = plain(fitted, r, seed, iter_max, rel_tol)
+        def recorded(fit_op, r, seed, iter_max, rel_tol):
+            out = plain(fit_op, r, seed, iter_max, rel_tol)
             fits.append((r, dict(seed=seed, iter_max=iter_max, rel_tol=rel_tol), out))
             return out
 
@@ -588,7 +587,7 @@ class TestStructuredModeStep:
             ref = als_rank_one(qr, op._from_basis(r_hat), **kwargs)
             assert sweeps == ref.sweeps
             # the fit is of 2^fe D, so the term is 2^fe times the outer product
-            term = np.ldexp(rank_one_by_kron(factors), op._fitted()._fit_exponent)
+            term = np.ldexp(rank_one_by_kron(factors), op._fit_exponent)
             got = op._from_basis(term)
             expected = ref.to_vector()
             assert np.linalg.norm(got - expected) <= 1e-13 * np.linalg.norm(expected)
@@ -738,7 +737,7 @@ class TestStructuredModeStep:
         objective = None if residual is None else np.linalg.norm(residual)
 
         # the step fits 2^e A, e putting max |D| in [1/2, 1)
-        sol = np.ldexp(sol, op._fitted()._fit_exponent)
+        sol = np.ldexp(sol, op._fit_exponent)
         c_k = lap.alpha * np.eye(n_k) + lap.factors[k]
         images = [f @ y for f, y in zip(lap.factors, factors)]
         w, s = mode_weights_by_scalar_seed(factors, images, k)
@@ -752,7 +751,7 @@ def assert_kinds_agree(lap, rng):
     """Each mode step of the eigenbasis kind against the QR kind's, on one start.
 
     ``lap`` has symmetric factors, so ``from_laplacian`` returns the eigenbasis
-    kind, whose diagonal's step is read in the original basis
+    kind, whose step is read in the original basis
     (:func:`eigen_mode_step`); the QR kind is built directly. Both get r scaled
     to max |r| in [1/2, 1) and unit start factors, as ``als_rank_one`` gives
     them, and the eigenbasis fit is scaled back by its 2^``_fit_exponent``.
@@ -774,9 +773,9 @@ def assert_kinds_agree(lap, rng):
         objective, ref_objective = (
             None if v is None else np.linalg.norm(v) for v in (residual, ref_residual)
         )
-        sol = np.ldexp(sol, eigen._fitted()._fit_exponent)
+        sol = np.ldexp(sol, eigen._fit_exponent)
         if lap.dims.d == 1:
-            size = np.abs(eigen._fitted()._spectrum)  # the eigenvalues of C, scaled
+            size = np.abs(eigen._spectrum)  # the eigenvalues of C, scaled
             rtol = max(1e-12, 10 * np.finfo(float).eps * size.max() / size.min())
             assert np.linalg.norm(sol - ref) <= rtol * np.linalg.norm(ref)
             assert max(objective, ref_objective) <= 1e-12 * np.linalg.norm(r)

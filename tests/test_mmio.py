@@ -105,18 +105,23 @@ _NEAR_ZERO = [-0.0, 5e-324, -1e-310, 2.2250738585072014e-308, 10.0, -100.0, 0.1]
 
 @settings(max_examples=40, deadline=None)
 @given(
-    rows=st.sampled_from([1, 3, 100]),
+    # a column of _PIECE + 3 values spans two pieces
+    rows=st.sampled_from([1, 3, 100, _PIECE + 3]),
     size=st.integers(1, 3 * _PIECE),
     density=st.sampled_from([0.0, 1e-4, 0.01, 0.5, 1.0]),
     run=st.tuples(st.integers(0, 3 * _PIECE), st.integers(0, 3 * _PIECE)),
     seed=st.integers(0, 2**32 - 1),
+    layout=st.sampled_from(["F", "C", "strided"]),
 )
 # one run of +0.0 from before the first piece boundary to past the second,
-# one ending right at the first boundary, and no zero at all
-@example(rows=1, size=3 * _PIECE, density=0.5, run=(_PIECE - 5, 2 * _PIECE + 5), seed=0)
-@example(rows=100, size=2 * _PIECE, density=0.01, run=(1, _PIECE), seed=1)
-@example(rows=3, size=_PIECE + 1, density=1.0, run=(0, 0), seed=2)
-def test_writer_matches_repr_per_value(tmp_path_factory, rows, size, density, run, seed):
+# one ending right at the first boundary, no zero at all, and a run across
+# the split of a column in two pieces
+@example(rows=1, size=3 * _PIECE, density=0.5, run=(_PIECE - 5, 2 * _PIECE + 5), seed=0, layout="F")
+@example(rows=100, size=2 * _PIECE, density=0.01, run=(1, _PIECE), seed=1, layout="C")
+@example(rows=3, size=_PIECE + 1, density=1.0, run=(0, 0), seed=2, layout="strided")
+@example(rows=_PIECE + 3, size=3 * _PIECE, density=0.5, run=(_PIECE - 5, _PIECE + 5), seed=3,
+         layout="strided")
+def test_writer_matches_repr_per_value(tmp_path_factory, rows, size, density, run, seed, layout):
     rng = np.random.default_rng(seed)
     cols = -(-size // rows)
     values = np.where(rng.uniform(size=rows * cols) < 0.5, rng.choice(_NEAR_ZERO, rows * cols),
@@ -124,6 +129,10 @@ def test_writer_matches_repr_per_value(tmp_path_factory, rows, size, density, ru
     values[rng.uniform(size=values.size) >= density] = 0.0
     values[slice(*sorted(run))] = 0.0
     m = values.reshape(cols, rows).T  # column-major, as the file stores it
+    if layout == "C":
+        m = np.ascontiguousarray(m)
+    elif layout == "strided":  # every other column of a wider array
+        m = np.repeat(m, 2, axis=1)[:, ::2]
     f = tmp_path_factory.mktemp("mm") / "m.mtx"
     write_matrix_market(f, m)
     assert f.read_bytes() == matrix_market_array_by_repr(m).encode()
