@@ -7,13 +7,16 @@ leaves no partial files. Report schemas are fixed; see docs/formats.md.
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
 
 from .errors import MatrixMarketError, SingularMatrixError
 from .grou import RANK_MAX_REACHED, LinearOperator, direct_solve, grou
-from .kron_core import DimSplit, LaplacianLike, _as_square_matrix, _check_dense_cap, lap_to_dense
+from .kron_core import (
+    DimSplit, LaplacianLike, _as_square_matrix, _check_dense_cap, _scale_exponent, lap_to_dense,
+)
 from .lap_project import laplacian_distance
 # unused here, but perfbench/tracing.py patches these names
 from .lap_project import project_delta_sweeps, project_laplacian  # noqa: F401
@@ -117,7 +120,9 @@ def _cmd_solve(args) -> int:
     if args.method == "direct":
         x = direct_solve(a, b)
         method = stop = "direct"
-        terms, history = 0, [float(np.linalg.norm(b)), float(np.linalg.norm(b - a @ x))]
+        e = _scale_exponent(b)  # grou's scale, so both norms are finite at any scale of b
+        terms = 0
+        history = [math.ldexp(float(np.linalg.norm(np.ldexp(v, e))), -e) for v in (b, b - a @ x)]
     else:
         member, _, proj_report = laplacian_distance(a, dims)
         if member:
@@ -191,6 +196,9 @@ def main(argv=None) -> int:
         return EXIT_IO
     except SingularMatrixError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
+    except OverflowError:  # math.ldexp reading back a norm past the float64 range
+        print("error: a norm exceeds the float64 range", file=sys.stderr)
         return EXIT_NUMERICAL
     except (ValueError, IndexError) as exc:
         print(f"error: {exc}", file=sys.stderr)

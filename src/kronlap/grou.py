@@ -40,6 +40,7 @@ from .kron_core import (
     _require_finite,
     _require_nonsingular,
     _require_square,
+    _scale_exponent,
     lap_matvec,
 )
 
@@ -155,9 +156,9 @@ class GrouReport:
     as estimated by ``dgelsy`` on the QR steps and exactly on the eigenbasis
     step (see :func:`als_rank_one`). ``als_sweeps`` holds the ALS sweeps of
     each accepted term, in order. ``residual_history`` holds ||b||, then the
-    norm of each accepted term's residual as its ALS fit formed it; on the
-    eigenbasis kind that is V^T (b - A x_k), and V is orthogonal, so on every
-    kind the norms equal ||b - A x_k|| up to rounding.
+    norm of each accepted term's residual as its ALS fit formed it, read back
+    exactly from the solve's scale; on the eigenbasis kind that residual is
+    V^T (b - A x_k), V orthogonal, so every norm is ||b - A x_k|| to rounding.
     """
 
     x: np.ndarray
@@ -393,10 +394,18 @@ class _EigenbasisOperator(LinearOperator):
         return [v @ y for v, y in zip(self._bases, factors)]
 
 
+def _scaled_to_basis(op: LinearOperator, v, name: str):
+    """The one scaling of a fit or solve: (e, V^T (2^e v)), max |2^e v| in [1/2, 1) or v = 0."""
+    v = _as_vector(v, op.n, name)
+    e = _scale_exponent(v, name)
+    return e, op._to_basis(np.ldexp(v, e))
+
+
 def _fit(op: LinearOperator, r, seed: int, iter_max: int, rel_tol: float):
     """:func:`als_rank_one`'s fit of ``op``'s B: (factors, residual, sweeps, rank_deficient).
 
-    r comes scaled and in ``op``'s basis; the residual is the last step's.
+    r comes in ``op``'s basis; the residual is the last step's. No step has an
+    absolute threshold, so r needs no scaling: 2^k * r gets exactly 2^k times the fit.
     """
     rng = np.random.default_rng(seed)
     factors = [v / _norm(v) for v in (rng.standard_normal(n) for n in op.dims.modes)]
@@ -440,25 +449,20 @@ def als_rank_one(
     symmetric ones; a lower rank flags ``rank_deficient``. The objective is
     ||r - B (x)_i y_i|| of the residual each sweep's last mode step returns;
     ||r||^2 - ||r_k Q||^2 or ||r||^2 - ||fit||^2 would cancel below the stop.
-    The fit runs on 2^e * r with max |2^e * r| in [1/2, 1), and the eigenbasis
-    step on 2^``_fit_exponent`` * D with max |2^``_fit_exponent`` * D| in
-    [1/2, 1); factor 0 is scaled back by both powers of two at once, exactly.
-    So 2^k * r gets exactly 2^k times the fit of r, and 2^k * A gets 2^-k
-    times it up to rounding, with no overflow or underflow in between.
+    The fit runs on 2^e * r and the eigenbasis step on 2^``_fit_exponent`` * D,
+    each with max in [1/2, 1); factor 0 is scaled back by both at once,
+    exactly. So 2^k * r gets exactly 2^k times the fit of r, and 2^k * A gets
+    2^-k times it up to rounding, with no overflow or underflow in between.
     A non-finite residual raises ValueError.
     """
     if iter_max < 1:
         raise ValueError("iter_max must be at least 1")
     if not rel_tol >= 0:
         raise ValueError("rel_tol must be non-negative")
-    dims = op.dims
-    r = _as_vector(r, dims.n, "residual")
-    e = -math.frexp(_require_finite(r, "residual"))[1]
-    factors, _, sweeps, rank_deficient = _fit(
-        op, op._to_basis(np.ldexp(r, e)), seed, iter_max, rel_tol
-    )
+    e, r = _scaled_to_basis(op, r, "residual")
+    factors, _, sweeps, rank_deficient = _fit(op, r, seed, iter_max, rel_tol)
     factors = op._factors_from_basis(factors)
-    y = RankOneVector(dims, tuple(factors), rank_deficient=rank_deficient, sweeps=sweeps)
+    y = RankOneVector(op.dims, tuple(factors), rank_deficient=rank_deficient, sweeps=sweeps)
     y.factors = (np.ldexp(y.factors[0], op._fit_exponent - e), *y.factors[1:])
     return y
 
@@ -497,11 +501,11 @@ def grou(
     ``rank_max`` accepted terms. Non-convergence is reported through
     ``stop_reason``, never raised.
 
-    Each term is the fit of :func:`als_rank_one`, by ``op``'s mode step, to r
-    scaled to max |r| in [1/2, 1); the residual its last mode step formed,
-    scaled back in place, is the next r, so no term is built as a
-    ``RankOneVector`` or applied. On the eigenbasis kind b goes into the basis
-    once and x comes back once (see :class:`GrouReport`).
+    b is scaled once per solve, as :func:`als_rank_one` scales r, and moved into
+    ``op``'s basis; each term is its fit to r in that scale, whose last mode
+    step forms the next r, so no term is built as a ``RankOneVector`` or
+    applied. x comes back once: 2^k * b gets exactly 2^k times the solve of b
+    (see :class:`GrouReport`), and a b whose norm overflows raises OverflowError.
     """
     if not (eps > 0 and tol > 0):  # NaN too
         raise ValueError("eps and tol must be positive")
@@ -511,29 +515,24 @@ def grou(
         raise ValueError("als_iter_max must be at least 1")
     if seed < 0:
         raise ValueError("seed must be non-negative")
-    b = _as_vector(b, op.n, "right-hand side")
-    _require_finite(b, "right-hand side")
-    x = np.zeros_like(b)
-    r = op._to_basis(b)
-    history = [float(np.linalg.norm(r))]
+    e, r = _scaled_to_basis(op, b, "right-hand side")
+    x = np.zeros_like(r)
+    history = [math.ldexp(_norm(r), -e)]
     if history[0] < eps:
         return GrouReport(x, history, 0, RESIDUAL_BELOW_EPS)
     stop = RANK_MAX_REACHED
     deficient_terms = 0
     sweeps = []
     for i in range(rank_max):
-        e = -math.frexp(max(-r.min(), r.max()))[1]
-        factors, r_new, term_sweeps, deficient = _fit(
-            op, np.ldexp(r, e), _term_seed(seed, i), als_iter_max, _ALS_REL_TOL
-        )
-        norm_new = _norm(np.ldexp(r_new, -e, out=r_new))
+        fit = _fit(op, r, _term_seed(seed, i), als_iter_max, _ALS_REL_TOL)  # r keeps b's scale 2^e
+        factors, r_new, term_sweeps, deficient = fit
+        norm_new = math.ldexp(_norm(r_new), -e)
         if not norm_new < history[-1]:
             # a zero fit, one that leaves ||r|| as it was or raises it (the ALS
             # never does worse than y = 0, so a rise is a rounding error), or NaN
             stop = STAGNATION
             break
-        term = reduce(np.multiply.outer, factors).reshape(-1)
-        x += np.ldexp(term, op._fit_exponent - e, out=term)
+        x += reduce(np.multiply.outer, factors).reshape(-1)
         r = r_new
         history.append(norm_new)
         deficient_terms += deficient
@@ -544,7 +543,8 @@ def grou(
         if history[-2] - norm_new < tol:
             stop = STAGNATION
             break
-    return GrouReport(op._from_basis(x), history, len(sweeps), stop, deficient_terms, sweeps)
+    x = op._from_basis(np.ldexp(x, op._fit_exponent - e, out=x))
+    return GrouReport(x, history, len(sweeps), stop, deficient_terms, sweeps)
 
 
 def _band_cholesky(a, kd: int):

@@ -57,6 +57,12 @@ def _require_finite(m, name="matrix") -> float:
         raise ValueError(f"{name} contains non-finite entries")
     return max(-lo, hi)
 
+def _scale_exponent(v, name="vector") -> int:
+    # e with max |2^e v| in [1/2, 1), 0 for a zero v: a norm of 2^e v neither
+    # overflows nor underflows to zero, and math.ldexp(norm, -e) reads it back,
+    # exactly unless the norm of v is past the float64 range or below its normals
+    return -math.frexp(_require_finite(v, name))[1]
+
 _PIVOT_TOL = 1e-12  # relative pivot threshold for singularity detection
 
 def _require_nonsingular(pivots, what: str):

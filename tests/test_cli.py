@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -238,6 +239,40 @@ class TestSolve:
         history = sidecar["residual_history"]
         assert len(history) == 2
         assert sidecar["relative_residual"] == history[1] / history[0]
+
+    @pytest.mark.parametrize("k", [600, -600])
+    def test_direct_norms_are_finite_at_extreme_scales(self, tmp_path, capsys, k):
+        # both norms are taken on 2^e v, max |2^e b| in [1/2, 1), as grou takes its own:
+        # ||2^600 b||^2 overflowed to a NaN ratio, ||2^-600 (b - A x)||^2 underflowed to 0
+        def strict(constant):
+            raise ValueError(f"{constant} in the sidecar")
+
+        prefix = tmp_path / "p"
+        assert run("gen", "--kind", "poisson", "--n", "4", "--output", str(prefix)) == 0
+        b = np.random.default_rng(1).standard_normal((64, 1))
+        sidecars = []
+        for scale in (0, k):
+            bm, x = tmp_path / f"b{scale}.mtx", tmp_path / f"x{scale}.mtx"
+            write_matrix_market(bm, np.ldexp(b, scale))
+            assert run("solve", "--matrix", f"{prefix}_A.mtx", "--rhs", str(bm), "--dims", "4,4,4",
+                       "--method", "direct", "--output", str(x)) == 0
+            sidecars.append(json.loads(Path(f"{x}.json").read_text(), parse_constant=strict))
+        one, scaled = sidecars
+        assert scaled["residual_history"] == [math.ldexp(h, k) for h in one["residual_history"]]
+        assert scaled["relative_residual"] == one["relative_residual"] > 0
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("method", ["auto", "direct"])
+    def test_norm_past_float64_range_exit_3(self, tmp_path, capsys, method):
+        # every entry is finite, but ||b|| = 8e308 is not a float64
+        prefix, bm, x = tmp_path / "p", tmp_path / "b.mtx", tmp_path / "x.mtx"
+        assert run("gen", "--kind", "poisson", "--n", "4", "--output", str(prefix)) == 0
+        write_matrix_market(bm, np.full((64, 1), 1e308))
+        code = run("solve", "--matrix", f"{prefix}_A.mtx", "--rhs", str(bm), "--dims", "4,4,4",
+                   "--method", method, "--output", str(x))
+        assert code == 3
+        assert capsys.readouterr().err == "error: a norm exceeds the float64 range\n"
+        assert not x.exists() and not Path(f"{x}.json").exists()
 
     def test_non_member_uses_dense_path(self, tmp_path):
         rng = np.random.default_rng(0)

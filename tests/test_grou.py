@@ -1,4 +1,5 @@
 import importlib
+import math
 import re
 import tracemalloc
 import warnings
@@ -15,6 +16,7 @@ from kronlap import (
     LaplacianLike,
     LinearOperator,
     RankOneVector,
+    RANK_MAX_REACHED,
     RESIDUAL_BELOW_EPS,
     STAGNATION,
     SingularMatrixError,
@@ -268,6 +270,37 @@ class TestAlsRankOne:
         # compared at unit size, where the norm of 2^-k y neither overflows nor underflows
         assert np.linalg.norm(np.ldexp(ys, k) - y) <= 1e-14 * np.linalg.norm(y)
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        kind=st.sampled_from(KINDS),
+        modes=st.one_of(
+            st.lists(st.integers(1, 4), min_size=1, max_size=1),
+            st.lists(st.integers(2, 4), min_size=2, max_size=3),
+        ),
+        k=st.integers(-200, 200),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_fit_is_exactly_homogeneous_under_powers_of_two(self, kind, modes, k, seed):
+        # grou fits every term's r in the scale of b, so late terms fit r far below
+        # max |r| in [1/2, 1): no mode step may hold an absolute threshold
+        rng = np.random.default_rng(seed)
+        factors = [rng.standard_normal((n, n)) for n in modes]
+        if kind == "eigenbasis":
+            factors = [f + f.T for f in factors]
+        lap = LaplacianLike.from_factors(modes, factors, alpha=float(rng.standard_normal()))
+        if kind == "dense":  # a non-member, so the dense step meets a general A
+            op = LinearOperator.from_dense(lap_to_dense(lap) + rng.standard_normal((lap.n, lap.n)), modes)
+        else:
+            op = of_kind(lap, kind)
+        r = rng.standard_normal(lap.n) * 10.0 ** int(rng.integers(-3, 4))
+        args = (seed, 15, grou_module._ALS_REL_TOL)
+        ys, residual, sweeps, deficient = grou_module._fit(op, r, *args)
+        ys_k, residual_k, sweeps_k, deficient_k = grou_module._fit(op, np.ldexp(r, k), *args)
+        assert residual_k.tobytes() == np.ldexp(residual, k).tobytes()
+        assert ys_k[0].tobytes() == np.ldexp(ys[0], k).tobytes()
+        assert [y.tobytes() for y in ys_k[1:]] == [y.tobytes() for y in ys[1:]]
+        assert (sweeps_k, deficient_k) == (sweeps, deficient)
+
     def test_objective_never_worse_than_zero_fit(self):
         rng = np.random.default_rng(3)
         op = LinearOperator.from_dense(rng.standard_normal((12, 12)), (3, 4))
@@ -361,7 +394,7 @@ class TestGrou:
     @pytest.mark.parametrize("kind", KINDS)
     def test_each_term_is_accepted_on_its_last_mode_step_residual(self, kind, monkeypatch):
         # grou builds no RankOneVector and applies nothing: each term's residual is
-        # the array the fit's last mode step returned, scaled back in place
+        # the array the fit's last mode step returned, in the solve's scale 2^e
         lap = build_poisson(3).operator
         op = of_kind(lap, kind)
         plain_step, plain_fit = type(op)._mode_step, grou_module._fit
@@ -396,9 +429,31 @@ class TestGrou:
         monkeypatch.undo()
         assert rep.terms_used > 0
         accepted = kept[: rep.terms_used]
-        assert [grou_module._norm(v) for v in accepted] == rep.residual_history[1:]
+        e = -math.frexp(np.abs(b).max())[1]  # b is scaled once, to max |2^e b| in [1/2, 1)
+        assert [math.ldexp(grou_module._norm(v), -e) for v in accepted] == rep.residual_history[1:]
         true = b - lap_matvec(lap, rep.x)
-        assert np.linalg.norm(op._from_basis(accepted[-1]) - true) <= 1e-12 * np.linalg.norm(b)
+        last_residual = np.ldexp(op._from_basis(accepted[-1]), -e)
+        assert np.linalg.norm(last_residual - true) <= 1e-12 * np.linalg.norm(b)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_solve_at_extreme_scales_of_b(self, kind):
+        # b is scaled once per solve, so 2^600 b gets exactly 2^600 times the solve of
+        # b with nothing overflowing, and the norm of 2^-600 b does not underflow to 0
+        lap = build_poisson(4).operator
+        op = of_kind(lap, kind)
+        b = np.random.default_rng(0).standard_normal(lap.n)
+        ref = grou(op, b, rank_max=30)
+        assert (ref.terms_used, ref.stop_reason) == (30, RANK_MAX_REACHED)
+        big = grou(op, np.ldexp(b, 600), rank_max=30)
+        assert big.x.tobytes() == np.ldexp(ref.x, 600).tobytes()
+        assert big.residual_history == [math.ldexp(h, 600) for h in ref.residual_history]
+        assert (big.terms_used, big.stop_reason) == (ref.terms_used, ref.stop_reason)
+        assert (big.als_sweeps, big.rank_deficient_terms) == (ref.als_sweeps, ref.rank_deficient_terms)
+        # ||2^-600 b|| is below the absolute eps, so the solve ends before its first term
+        small = grou(op, np.ldexp(b, -600), rank_max=30)
+        assert small.residual_history == [math.ldexp(ref.residual_history[0], -600)]
+        assert (small.terms_used, small.stop_reason) == (0, RESIDUAL_BELOW_EPS)
+        np.testing.assert_array_equal(small.x, np.zeros(lap.n))
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_history_monotone_and_consistent(self, kind):
@@ -554,6 +609,23 @@ class TestStructuredModeStep:
             finally:
                 tracemalloc.stop()
         assert peaks[0] <= 1.5 * peaks[1]
+
+    @pytest.mark.parametrize("kind, vectors", [("eigenbasis", 4.5), ("qr", 5.5)])
+    def test_peak_memory_in_length_n_vectors(self, kind, vectors):
+        # the eigenbasis kind holds r, r * D, the fit's residual and x, each of length
+        # N; the QR kind holds r, two unfoldings of it, the residual and x. A copy of
+        # r kept live through each fit, to scale it, would exceed either bound
+        lap = build_poisson(64).operator
+        op = of_kind(lap, kind)  # D and D^2 are built before the trace
+        b = np.random.default_rng(0).standard_normal(lap.n)
+        kron_core._linalg()
+        tracemalloc.start()
+        try:
+            grou(op, b, rank_max=5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= vectors * b.nbytes
 
     def test_eigenbasis_history_is_the_true_residual(self):
         # the history is taken in the basis; V is orthogonal, so it is ||b - A x||
